@@ -401,6 +401,12 @@ fn hex_u64(s: &str) -> Option<u64> {
     (s.len() == 16).then(|| u64::from_str_radix(s, 16).ok())?
 }
 
+/// Test-only: the `cache.disk_*` failpoints are process-global, so the
+/// test that arms them must not overlap any test that does disk-tier I/O.
+/// Those share the read side; the arming test takes the write side.
+#[cfg(test)]
+pub(crate) static FAILPOINT_LOCK: std::sync::RwLock<()> = std::sync::RwLock::new(());
+
 #[cfg(test)]
 // Tests may unwrap: a panic is exactly the failure report we want there.
 #[allow(clippy::unwrap_used)]
@@ -434,6 +440,7 @@ mod tests {
 
     #[test]
     fn roundtrip_and_reopen() {
+        let _io = FAILPOINT_LOCK.read().unwrap_or_else(|e| e.into_inner());
         let dir = tmpdir("roundtrip");
         let c = DiskCache::open(&dir, 0).unwrap();
         for v in 0..20u64 {
@@ -463,6 +470,7 @@ mod tests {
 
     #[test]
     fn refresh_shadows_older_record() {
+        let _io = FAILPOINT_LOCK.read().unwrap_or_else(|e| e.into_inner());
         let dir = tmpdir("shadow");
         let c = DiskCache::open(&dir, 0).unwrap();
         let key = CacheKey(42u128 << 64);
@@ -478,6 +486,7 @@ mod tests {
 
     #[test]
     fn torn_tail_is_dropped_rest_recovers() {
+        let _io = FAILPOINT_LOCK.read().unwrap_or_else(|e| e.into_inner());
         let dir = tmpdir("torn");
         let c = DiskCache::open(&dir, 0).unwrap();
         for v in 0..10u64 {
@@ -515,6 +524,7 @@ mod tests {
 
     #[test]
     fn remove_unindexes_the_record() {
+        let _io = FAILPOINT_LOCK.read().unwrap_or_else(|e| e.into_inner());
         let dir = tmpdir("remove");
         let c = DiskCache::open(&dir, 0).unwrap();
         c.put(CacheKey(9), &answer(4)).unwrap();
@@ -530,6 +540,7 @@ mod tests {
 
     #[test]
     fn corrupt_checksum_is_rejected() {
+        let _io = FAILPOINT_LOCK.read().unwrap_or_else(|e| e.into_inner());
         let dir = tmpdir("cksum");
         let c = DiskCache::open(&dir, 0).unwrap();
         c.put(CacheKey(1), &answer(10)).unwrap();
@@ -549,6 +560,7 @@ mod tests {
 
     #[test]
     fn byte_cap_drops_oldest_segments() {
+        let _io = FAILPOINT_LOCK.read().unwrap_or_else(|e| e.into_inner());
         let dir = tmpdir("cap");
         // Tiny cap: after enough records the earliest segments must go.
         let c = DiskCache::open(&dir, 8192).unwrap();
@@ -573,6 +585,7 @@ mod tests {
 
     #[test]
     fn failpoints_gate_disk_io() {
+        let _io = FAILPOINT_LOCK.write().unwrap_or_else(|e| e.into_inner());
         let dir = tmpdir("fp");
         let c = DiskCache::open(&dir, 0).unwrap();
         krsp_failpoint::setup_str("cache.disk_write=err").unwrap();

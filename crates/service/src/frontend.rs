@@ -19,7 +19,7 @@
 //! evaluated only after the previous id-less response on the same
 //! connection was produced, so legacy clients observe the same ordering
 //! *and* the same side-effect timing (a pipelined `"Metrics"` still
-//! counts the solve before it) as the thread-per-connection server.
+//! counts the solve before it) as a one-at-a-time blocking server.
 //!
 //! ## Fairness and protection
 //!
@@ -70,26 +70,15 @@ const READ_CHUNK: usize = 64 * 1024;
 /// Compact the write buffer once this many bytes are already flushed.
 const OUT_COMPACT: usize = 64 * 1024;
 
-/// The pieces `serve_event_driven` hands back when no poll facility
-/// exists, so the caller can fall back to the threaded server.
-pub(crate) type FallbackParts = (TcpListener, Arc<AtomicBool>, ServeOptions);
-
-/// Runs the event-driven server. On an `Unsupported` reactor (no poll
-/// facility on this platform) the listener/flag/options are returned so
-/// the caller can fall back; any later error is terminal.
+/// Runs the event-driven server until shutdown drains it.
 pub(crate) fn serve_event_driven(
     service: &Service,
     listener: TcpListener,
     shutdown: Arc<AtomicBool>,
     opts: ServeOptions,
-) -> Result<(), (std::io::Error, Option<FallbackParts>)> {
-    let reactor = match Reactor::new() {
-        Ok(r) => r,
-        Err(e) => return Err((e, Some((listener, shutdown, opts)))),
-    };
-    Frontend::new(service.clone(), reactor, listener, shutdown, opts)
+) -> std::io::Result<()> {
+    Frontend::new(service.clone(), Reactor::new()?, listener, shutdown, opts)
         .and_then(Frontend::run)
-        .map_err(|e| (e, None))
 }
 
 /// One response produced off-thread, addressed by connection token.
@@ -351,7 +340,7 @@ impl Frontend {
 
     fn conn_readable(&mut self, token: usize) {
         // Chaos-testing hook: `proto.read=err(...)` fails the read like a
-        // torn connection would (same site the threaded server honors).
+        // torn connection would (the same site the router's reads honor).
         if read_failpoint().is_err() {
             self.drop_conn(token);
             return;

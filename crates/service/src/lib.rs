@@ -55,32 +55,6 @@ pub mod disk;
 pub mod epoch;
 #[cfg(unix)]
 mod frontend;
-#[cfg(not(unix))]
-mod frontend {
-    //! Stub for platforms without a poll facility: the caller falls back
-    //! to the threaded server.
-    use crate::proto::ServeOptions;
-    use std::net::TcpListener;
-    use std::sync::atomic::AtomicBool;
-    use std::sync::Arc;
-
-    pub(crate) type FallbackParts = (TcpListener, Arc<AtomicBool>, ServeOptions);
-
-    pub(crate) fn serve_event_driven(
-        _service: &crate::Service,
-        listener: TcpListener,
-        shutdown: Arc<AtomicBool>,
-        opts: ServeOptions,
-    ) -> Result<(), (std::io::Error, Option<FallbackParts>)> {
-        Err((
-            std::io::Error::new(
-                std::io::ErrorKind::Unsupported,
-                "no event backend on this platform",
-            ),
-            Some((listener, shutdown, opts)),
-        ))
-    }
-}
 pub mod hash;
 pub mod load;
 pub mod metrics;
@@ -106,10 +80,9 @@ pub use load::{
 pub use metrics::{FrontendSnapshot, LatencyHistogram, MetricsSnapshot};
 pub use proto::{
     decode_response_line, encode_request_with_id, health_reply, serve, serve_on,
-    serve_threaded_with_shutdown, serve_with_shutdown, EpochReply, EpochRequest, ErrorKind,
-    HealthReply, HealthStatus, RegisterRequest, RegisteredReply, ReplicaStatus, RingReply,
-    RungKernel, ServeOptions, SolveRequest, SolvedReply, WireChange, WireError, WireRequest,
-    WireResponse, MAX_LINE_BYTES,
+    serve_with_shutdown, EpochReply, EpochRequest, ErrorKind, HealthReply, HealthStatus,
+    RegisterRequest, RegisteredReply, ReplicaStatus, RingReply, RungKernel, ServeOptions,
+    SolveRequest, SolvedReply, WireChange, WireError, WireRequest, WireResponse, MAX_LINE_BYTES,
 };
 pub use quarantine::Quarantine;
 pub use router::{

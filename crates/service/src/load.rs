@@ -9,24 +9,27 @@
 //! serializable — `krsp-load` prints it as JSON for committing under
 //! `results/`.
 //!
-//! [`run_remote`] replays the same workload over the NDJSON wire protocol
-//! against a running `krsp-cli serve`, with per-request reconnect and
-//! jittered exponential backoff so a restarting or briefly absent server
-//! does not fail the replay.
+//! [`run_remote`] and [`run_rolling`] replay over the NDJSON wire protocol
+//! against a running `krsp-cli serve` (or `route`) through one client
+//! engine: a window of requests in flight on one connection, replies
+//! matched by id, and on a connection death a reconnect with jittered
+//! exponential backoff that reissues the whole window, so a restarting or
+//! briefly absent server does not fail the replay. Window depth 1 is the
+//! classic one-at-a-time client; `--pipeline N` widens the window to N
+//! ids; `--batch N` frames each window of N queries as one `SolveBatch`
+//! line.
 
 use crate::degrade::Rung;
 use crate::metrics::MetricsSnapshot;
-use crate::proto::{
-    self, BatchQuery, ErrorKind, SolveBatchRequest, SolveRequest, WireRequest, WireResponse,
-};
+use crate::proto::{self, ErrorKind, SolveRequest, WireRequest, WireResponse};
 use crate::service::{Rejection, Request, Service};
 use crate::sync_util::lock_recover;
 use krsp_gen::{Family, Regime, Workload};
 use serde::{Deserialize, Serialize};
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
@@ -272,6 +275,33 @@ impl Tally {
         }
         self.last_send_latencies.push(latency_last_us);
     }
+
+    /// Classifies one wire reply (or its absence) into the tally.
+    fn record(&mut self, reply: Reply) {
+        if reply.overtaken > 0 {
+            self.out_of_order += 1;
+            self.reorder_depth_max = self.reorder_depth_max.max(reply.overtaken);
+        }
+        match reply.response {
+            Some(WireResponse::Solved(r)) => self.record_solved(
+                r.rung,
+                r.cache_hit,
+                r.coalesced,
+                r.deadline_missed,
+                reply.first_us,
+                reply.last_us,
+            ),
+            Some(WireResponse::Rejected(_)) => self.infeasible += 1,
+            Some(WireResponse::Error(e)) => match e.kind {
+                ErrorKind::Shed => self.rejected_queue_full += 1,
+                ErrorKind::Timeout => self.rejected_expired += 1,
+                _ => self.wire_errors += 1,
+            },
+            // Transport failure past the retry budget, or a reply that did
+            // not parse (including an unexpected `Metrics` payload).
+            _ => self.wire_errors += 1,
+        }
+    }
 }
 
 /// Builds the distinct instance pool for `spec`. Public so callers can
@@ -309,11 +339,7 @@ pub fn run(service: &Service, spec: &LoadSpec) -> LoadReport {
     let next = AtomicUsize::new(0);
     let tally = Mutex::new(Tally::default());
     let start = Instant::now();
-    let interval = if spec.qps > 0.0 {
-        Some(Duration::from_secs_f64(1.0 / spec.qps))
-    } else {
-        None
-    };
+    let interval = (spec.qps > 0.0).then(|| Duration::from_secs_f64(1.0 / spec.qps));
 
     std::thread::scope(|s| {
         for _ in 0..spec.clients.max(1) {
@@ -322,13 +348,7 @@ pub fn run(service: &Service, spec: &LoadSpec) -> LoadReport {
                 if i >= spec.requests {
                     break;
                 }
-                if let Some(step) = interval {
-                    let slot = start + step * i as u32;
-                    let now = Instant::now();
-                    if slot > now {
-                        std::thread::sleep(slot - now);
-                    }
-                }
+                pace(start, interval, i);
                 let out = service.provision(Request {
                     instance: pool[i % pool.len()].clone(),
                     deadline: spec.deadline_ms.map(Duration::from_millis),
@@ -465,466 +485,312 @@ fn backoff_delay(attempt: u32, salt: u64) -> Duration {
     Duration::from_millis(cap / 2 + j % (cap / 2 + 1))
 }
 
-/// One client's connection to the server, lazily (re)established. With a
-/// comma-separated address list the client starts on a salt-determined
-/// target (spreading concurrent clients across replicas) and rotates to
-/// the next target on every reconnect.
-struct WireClient {
+/// Sleeps until request `i`'s slot on the fixed-rate arrival clock.
+fn pace(start: Instant, interval: Option<Duration>, i: usize) {
+    if let Some(step) = interval {
+        let slot = start + step * i as u32;
+        let now = Instant::now();
+        if slot > now {
+            std::thread::sleep(slot - now);
+        }
+    }
+}
+
+fn micros(since: Instant) -> u64 {
+    since.elapsed().as_micros().min(u128::from(u64::MAX)) as u64
+}
+
+/// The bare metrics request. Bare strings cannot carry an id, so it only
+/// goes out on an empty window ([`Engine::call`]).
+const METRICS_LINE: &str = "\"Metrics\"";
+
+/// How the engine puts its window on the wire.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Framing {
+    /// One id-less line per request: the classic one-at-a-time client.
+    Plain,
+    /// One line per request with its id spliced in first (`--pipeline`).
+    Ids,
+    /// One `SolveBatch` line per window, the ids inside its queries
+    /// (`--batch`).
+    Batch,
+}
+
+/// Renders `(id, id-less request line)` jobs as the writes that put them
+/// on the wire, one `String` per write, each a whole line including its
+/// `\n`. Only `Solve` lines may be batched.
+fn frame<'a>(framing: Framing, jobs: impl Iterator<Item = (u64, &'a str)>) -> Vec<String> {
+    match framing {
+        Framing::Plain => jobs.map(|(_, line)| format!("{line}\n")).collect(),
+        Framing::Ids => jobs
+            .map(|(id, line)| match line.strip_prefix('{') {
+                Some(rest) => format!("{{\"id\":{id},{rest}\n"),
+                None => format!("{line}\n"),
+            })
+            .collect(),
+        Framing::Batch => {
+            let queries: Vec<String> = jobs
+                .map(|(id, line)| {
+                    // `{"Solve":{"instance":…}}` → `{"id":7,"instance":…}`.
+                    let payload = line
+                        .strip_prefix("{\"Solve\":{")
+                        .and_then(|rest| rest.strip_suffix('}'))
+                        .expect("batch framing carries only Solve lines");
+                    format!("{{\"id\":{id},{payload}")
+                })
+                .collect();
+            if queries.is_empty() {
+                Vec::new()
+            } else {
+                vec![format!(
+                    "{{\"SolveBatch\":{{\"queries\":[{}]}}}}\n",
+                    queries.join(",")
+                )]
+            }
+        }
+    }
+}
+
+/// A request in the engine's window.
+struct Pending<'a> {
+    id: u64,
+    /// The id-less request line, kept for reissue after a connection death.
+    line: &'a str,
+    /// When it entered the window: first-send latency spans reconnects and
+    /// backoff (the caller's view).
+    first_send: Instant,
+    /// When it was last written: last-send latency covers only the attempt
+    /// that was answered (the replica's view).
+    last_send: Instant,
+    /// Whether it is on the current connection.
+    sent: bool,
+}
+
+impl Pending<'_> {
+    fn reply(&self, response: Option<WireResponse>, overtaken: usize) -> Reply {
+        Reply {
+            response,
+            first_us: micros(self.first_send),
+            last_us: micros(self.last_send),
+            overtaken: overtaken as u64,
+        }
+    }
+}
+
+/// What the engine hands back per request.
+struct Reply {
+    /// The response; `None` when the retry budget ran out or the reply
+    /// did not parse.
+    response: Option<WireResponse>,
+    /// Microseconds since the request entered the window.
+    first_us: u64,
+    /// Microseconds since its last (re)issue.
+    last_us: u64,
+    /// Earlier-sent requests still unanswered when this reply arrived.
+    overtaken: u64,
+}
+
+/// Writes the window's unsent requests, each line in one write, and
+/// stamps their last send.
+fn write_unsent(
+    framing: Framing,
+    window: &mut VecDeque<Pending<'_>>,
+    out: &mut impl Write,
+) -> std::io::Result<()> {
+    let now = Instant::now();
+    let unsent = window.iter().filter(|p| !p.sent).map(|p| (p.id, p.line));
+    for write in frame(framing, unsent) {
+        out.write_all(write.as_bytes())?;
+    }
+    for p in window.iter_mut().filter(|p| !p.sent) {
+        p.sent = true;
+        p.last_send = now;
+    }
+    Ok(())
+}
+
+/// The wire client behind every remote replay: one connection keeping up
+/// to `depth` requests in flight, replies matched by id. A connection
+/// death rotates to the next target, backs off with seeded jitter, and
+/// reissues everything outstanding (the protocol is stateless per line,
+/// so a reissue is safe); a window that exhausts the retry budget is
+/// handed back unanswered.
+struct Engine {
     addrs: Vec<String>,
     target: usize,
     retries: u32,
     salt: u64,
+    framing: Framing,
+    /// Requests in flight at most.
+    depth: usize,
     conn: Option<BufReader<TcpStream>>,
+    /// Reconnect-and-reissue attempts made so far.
+    retries_made: u64,
 }
 
-impl WireClient {
-    fn new(addr: &str, retries: u32, salt: u64) -> Self {
-        let mut addrs: Vec<String> = addr
-            .split(',')
-            .map(str::trim)
-            .filter(|a| !a.is_empty())
-            .map(str::to_string)
-            .collect();
-        if addrs.is_empty() {
-            addrs.push(addr.to_string());
-        }
-        let target = salt as usize % addrs.len();
-        WireClient {
+impl Engine {
+    /// `pipeline` ids in flight, or one `SolveBatch` line of `batch`
+    /// queries; both at 1 is the classic one-at-a-time client. A list of
+    /// targets is entered at a salt-determined one, so concurrent clients
+    /// spread across replicas.
+    fn new(remote: &RemoteSpec, salt: u64, pipeline: usize, batch: usize) -> Engine {
+        let addrs: Vec<String> = remote.addrs().into_iter().map(str::to_string).collect();
+        let (framing, depth) = if batch > 1 {
+            (Framing::Batch, batch)
+        } else if pipeline > 1 {
+            (Framing::Ids, pipeline)
+        } else {
+            (Framing::Plain, 1)
+        };
+        Engine {
+            target: salt as usize % addrs.len(),
             addrs,
-            target,
-            retries,
+            retries: remote.retries,
             salt,
+            framing,
+            depth,
             conn: None,
+            retries_made: 0,
         }
     }
 
-    /// Drops the current connection and moves to the next target address.
-    fn rotate(&mut self) {
-        self.conn = None;
-        self.target = self.target.wrapping_add(1) % self.addrs.len();
-    }
-
-    /// Sends one request line and reads one reply line, reconnecting and
-    /// reissuing (the protocol is stateless per line, so a reissue is
-    /// safe) up to the retry budget. Returns the instant the answered
-    /// attempt was written alongside the reply, so callers can report
-    /// replica latency separately from retry/backoff time.
-    fn roundtrip(
+    /// Sends every request `next` yields and hands each one's reply to
+    /// `on_reply`; returns once `next` runs dry and the window is empty.
+    fn drive<'a>(
         &mut self,
-        line: &str,
-        retries_made: &AtomicU64,
-    ) -> std::io::Result<(Instant, String)> {
-        let (sent, mut replies) = self.roundtrip_many(line, 1, retries_made)?;
-        Ok((sent, replies.remove(0).1))
-    }
-
-    /// Sends one request line and reads `replies` reply lines — the
-    /// multi-response shape of a `SolveBatch` line — with the same
-    /// reconnect-and-reissue policy as [`WireClient::roundtrip`]. The
-    /// returned instant is when the answered attempt's line was written;
-    /// each reply carries its receipt instant so per-query latency can
-    /// span only until *that* response arrived, not until the whole
-    /// batch drained.
-    fn roundtrip_many(
-        &mut self,
-        line: &str,
-        replies: usize,
-        retries_made: &AtomicU64,
-    ) -> std::io::Result<(Instant, Vec<(Instant, String)>)> {
+        mut next: impl FnMut() -> Option<(u64, &'a str)>,
+        mut on_reply: impl FnMut(Reply),
+    ) {
+        let mut window: VecDeque<Pending<'a>> = VecDeque::new();
+        let mut exhausted = false;
         let mut attempt = 0u32;
         loop {
-            match self.try_roundtrip_many(line, replies) {
-                Ok(out) => return Ok(out),
-                Err(e) => {
-                    self.rotate();
-                    if attempt >= self.retries {
-                        return Err(e);
-                    }
-                    retries_made.fetch_add(1, Ordering::Relaxed);
-                    self.salt = self.salt.wrapping_add(0x9e37_79b9_7f4a_7c15);
-                    std::thread::sleep(backoff_delay(attempt, self.salt));
-                    attempt += 1;
-                }
-            }
-        }
-    }
-
-    fn try_roundtrip_many(
-        &mut self,
-        line: &str,
-        replies: usize,
-    ) -> std::io::Result<(Instant, Vec<(Instant, String)>)> {
-        if self.conn.is_none() {
-            let addr = &self.addrs[self.target % self.addrs.len()];
-            self.conn = Some(BufReader::new(TcpStream::connect(addr)?));
-        }
-        let reader = self.conn.as_mut().expect("connected above");
-        let sent = Instant::now();
-        reader.get_mut().write_all(line.as_bytes())?;
-        reader.get_mut().write_all(b"\n")?;
-        let mut out = Vec::with_capacity(replies);
-        for _ in 0..replies {
-            let mut reply = String::new();
-            if reader.read_line(&mut reply)? == 0 {
-                return Err(std::io::Error::new(
-                    std::io::ErrorKind::UnexpectedEof,
-                    "server closed the connection",
-                ));
-            }
-            out.push((Instant::now(), reply));
-        }
-        Ok((sent, out))
-    }
-}
-
-/// Classifies one wire response (or its absence) into the tally.
-/// `latency_us` spans from the request's first send (includes retries and
-/// backoff); `latency_last_us` from its last (the attempt that was
-/// answered).
-fn tally_response(
-    t: &mut Tally,
-    response: Option<WireResponse>,
-    latency_us: u64,
-    latency_last_us: u64,
-) {
-    match response {
-        Some(WireResponse::Solved(r)) => {
-            t.record_solved(
-                r.rung,
-                r.cache_hit,
-                r.coalesced,
-                r.deadline_missed,
-                latency_us,
-                latency_last_us,
-            );
-        }
-        Some(WireResponse::Rejected(_)) => t.infeasible += 1,
-        Some(WireResponse::Error(e)) => match e.kind {
-            ErrorKind::Shed => t.rejected_queue_full += 1,
-            ErrorKind::Timeout => t.rejected_expired += 1,
-            _ => t.wire_errors += 1,
-        },
-        // Transport failure past the retry budget, or a reply that did
-        // not parse (including an unexpected `Metrics` payload).
-        _ => t.wire_errors += 1,
-    }
-}
-
-/// Splices a numeric id into an already-serialized map-shaped request
-/// line: `{"Solve":...}` → `{"id":7,"Solve":...}`. Equivalent to
-/// [`proto::encode_request_with_id`] without re-serializing the instance.
-fn line_with_id(line: &str, id: u64) -> String {
-    debug_assert!(line.starts_with('{'), "request line must be a JSON map");
-    format!("{{\"id\":{id},{}", &line[1..])
-}
-
-/// A request written to a pipelined connection and not yet answered.
-struct Pending {
-    /// The full request line, kept for reissue after a connection death.
-    line: String,
-    /// When it was first sent; first-send latency spans reconnects,
-    /// matching the sequential client's retries-inclusive measurement.
-    first_send: Instant,
-    /// When it was last (re)issued; last-send latency excludes the dead
-    /// attempts and the reconnect backoff between them.
-    last_send: Instant,
-}
-
-/// One pipelined client: keeps up to `depth` ids in flight on a single
-/// connection, matches responses by id in whatever order they return,
-/// and on a connection death reconnects (with the same backoff budget as
-/// the sequential client) and reissues every outstanding id.
-#[allow(clippy::too_many_arguments)]
-fn run_pipelined_client(
-    remote: &RemoteSpec,
-    depth: usize,
-    mut salt: u64,
-    spec: &LoadSpec,
-    lines: &[String],
-    next: &AtomicUsize,
-    retries_made: &AtomicU64,
-    tally: &Mutex<Tally>,
-    start: Instant,
-    interval: Option<Duration>,
-) {
-    let addrs = remote.addrs();
-    let mut conn: Option<BufReader<TcpStream>> = None;
-    let mut target = salt as usize % addrs.len();
-    let mut outstanding: HashMap<u64, Pending> = HashMap::new();
-    let mut order: VecDeque<u64> = VecDeque::new();
-    let mut exhausted = false;
-    let mut attempt = 0u32;
-    loop {
-        // (Re)establish the connection, reissuing everything outstanding
-        // oldest-first (the protocol is stateless per line, so a reissue
-        // is safe). Each reissue restamps `last_send`, so the last-send
-        // latency measures only the attempt that gets answered.
-        if conn.is_none() {
-            let established = TcpStream::connect(addrs[target % addrs.len()])
-                .ok()
-                .and_then(|s| {
-                    let mut reader = BufReader::new(s);
-                    for id in &order {
-                        let pending = outstanding.get_mut(id).expect("order tracks outstanding");
-                        pending.last_send = Instant::now();
-                        reader.get_mut().write_all(pending.line.as_bytes()).ok()?;
-                        reader.get_mut().write_all(b"\n").ok()?;
-                    }
-                    Some(reader)
-                });
-            match established {
-                Some(reader) => conn = Some(reader),
-                None => {
-                    target = target.wrapping_add(1) % addrs.len();
-                    if attempt >= remote.retries {
-                        // Budget exhausted: fail the whole window like the
-                        // sequential client fails its one request, then
-                        // start fresh on the remainder.
-                        let mut t = lock_recover(tally);
-                        t.wire_errors += outstanding.len() as u64;
-                        drop(t);
-                        outstanding.clear();
-                        order.clear();
-                        attempt = 0;
-                        if exhausted {
-                            return;
-                        }
-                        continue;
-                    }
-                    retries_made.fetch_add(1, Ordering::Relaxed);
-                    salt = salt.wrapping_add(0x9e37_79b9_7f4a_7c15);
-                    std::thread::sleep(backoff_delay(attempt, salt));
-                    attempt += 1;
-                    continue;
-                }
-            }
-        }
-        // Fill the window, writing each request as it is claimed.
-        while !exhausted && outstanding.len() < depth {
-            let i = next.fetch_add(1, Ordering::Relaxed);
-            if i >= spec.requests {
-                exhausted = true;
-                break;
-            }
-            if let Some(step) = interval {
-                let slot = start + step * i as u32;
+            let mut ok = true;
+            // A batch window refills only once fully answered, so each
+            // window is one `SolveBatch` line.
+            let refill = self.framing != Framing::Batch || window.is_empty();
+            while refill && ok && !exhausted && window.len() < self.depth {
+                let Some((id, line)) = next() else {
+                    exhausted = true;
+                    break;
+                };
                 let now = Instant::now();
-                if slot > now {
-                    std::thread::sleep(slot - now);
-                }
-            }
-            let id = i as u64;
-            let line = line_with_id(&lines[i % lines.len()], id);
-            let wrote = conn.as_mut().is_some_and(|reader| {
-                reader.get_mut().write_all(line.as_bytes()).is_ok()
-                    && reader.get_mut().write_all(b"\n").is_ok()
-            });
-            let now = Instant::now();
-            outstanding.insert(
-                id,
-                Pending {
+                window.push_back(Pending {
+                    id,
                     line,
                     first_send: now,
                     last_send: now,
-                },
-            );
-            order.push_back(id);
-            if !wrote {
-                conn = None;
-                target = target.wrapping_add(1) % addrs.len();
-                break;
+                    sent: false,
+                });
+                // Lines depart as they are claimed, so a paced replay
+                // keeps its schedule; a batch departs whole.
+                if self.framing != Framing::Batch {
+                    ok = self.send(&mut window).is_ok();
+                }
             }
-        }
-        if conn.is_none() {
-            continue;
-        }
-        if outstanding.is_empty() {
-            return; // exhausted and fully answered
-        }
-        // Read one reply and match it to its id.
-        let mut reply = String::new();
-        let read = conn
-            .as_mut()
-            .map(|reader| reader.read_line(&mut reply))
-            .expect("connection established above");
-        match read {
-            Ok(n) if n > 0 => {
+            if window.is_empty() {
+                return;
+            }
+            if ok && self.send(&mut window).is_ok() && self.receive(&mut window, &mut on_reply) {
                 attempt = 0;
-                match proto::decode_response_line(reply.trim()) {
-                    Ok((Some(id), response)) if outstanding.contains_key(&id) => {
-                        let pos = order
-                            .iter()
-                            .position(|&x| x == id)
-                            .expect("outstanding ids are ordered");
-                        order.remove(pos);
-                        let pending = outstanding.remove(&id).expect("checked above");
-                        let us = pending
-                            .first_send
-                            .elapsed()
-                            .as_micros()
-                            .min(u128::from(u64::MAX)) as u64;
-                        let us_last = pending
-                            .last_send
-                            .elapsed()
-                            .as_micros()
-                            .min(u128::from(u64::MAX)) as u64;
-                        let mut t = lock_recover(tally);
-                        if pos > 0 {
-                            t.out_of_order += 1;
-                            t.reorder_depth_max = t.reorder_depth_max.max(pos as u64);
-                        }
-                        tally_response(&mut t, Some(response), us, us_last);
-                    }
-                    other => {
-                        // An id-less line (e.g. a shed error written at
-                        // accept) or an unknown id: charge it to the
-                        // oldest outstanding request.
-                        if let Some(id) = order.pop_front() {
-                            let pending =
-                                outstanding.remove(&id).expect("order tracks outstanding");
-                            let us = pending
-                                .first_send
-                                .elapsed()
-                                .as_micros()
-                                .min(u128::from(u64::MAX))
-                                as u64;
-                            let us_last = pending
-                                .last_send
-                                .elapsed()
-                                .as_micros()
-                                .min(u128::from(u64::MAX))
-                                as u64;
-                            let response = other.ok().map(|(_, r)| r);
-                            tally_response(&mut lock_recover(tally), response, us, us_last);
-                        }
-                    }
-                }
+                continue;
             }
-            _ => {
-                // EOF or transport error with a window in flight.
-                conn = None;
-                target = target.wrapping_add(1) % addrs.len();
-                if attempt >= remote.retries {
-                    let mut t = lock_recover(tally);
-                    t.wire_errors += outstanding.len() as u64;
-                    drop(t);
-                    outstanding.clear();
-                    order.clear();
-                    attempt = 0;
-                    if exhausted {
-                        return;
-                    }
-                    continue;
+            // The connection died or never came up: rotate, then reissue
+            // the window after a backoff, or hand it back unanswered once
+            // the retry budget is spent.
+            self.conn = None;
+            self.target = (self.target + 1) % self.addrs.len();
+            for p in &mut window {
+                p.sent = false;
+            }
+            if attempt >= self.retries {
+                for p in window.drain(..) {
+                    on_reply(p.reply(None, 0));
                 }
-                retries_made.fetch_add(1, Ordering::Relaxed);
-                salt = salt.wrapping_add(0x9e37_79b9_7f4a_7c15);
-                std::thread::sleep(backoff_delay(attempt, salt));
+                attempt = 0;
+            } else {
+                self.retries_made += 1;
+                self.salt = self.salt.wrapping_add(0x9e37_79b9_7f4a_7c15);
+                std::thread::sleep(backoff_delay(attempt, self.salt));
                 attempt += 1;
             }
         }
     }
-}
 
-/// One batched client: claims `batch` request indices per window, sends
-/// them as a single `SolveBatch` line (ids = request indices), and reads
-/// the per-query responses back, matching them by id. A transport error
-/// reissues the whole line (the protocol is stateless per line); a
-/// window that exhausts its retry budget is charged to `wire_errors`
-/// query by query, like the sequential client's single request.
-#[allow(clippy::too_many_arguments)]
-fn run_batched_client(
-    remote: &RemoteSpec,
-    batch: usize,
-    salt: u64,
-    spec: &LoadSpec,
-    pool: &[krsp::Instance],
-    next: &AtomicUsize,
-    retries_made: &AtomicU64,
-    tally: &Mutex<Tally>,
-    start: Instant,
-    interval: Option<Duration>,
-) {
-    let mut client = WireClient::new(&remote.addr, remote.retries, salt);
-    loop {
-        let base = next.fetch_add(batch, Ordering::Relaxed);
-        if base >= spec.requests {
-            return;
+    /// Connects if needed and writes the window's unsent requests.
+    fn send(&mut self, window: &mut VecDeque<Pending<'_>>) -> std::io::Result<()> {
+        if self.conn.is_none() {
+            let stream = TcpStream::connect(&self.addrs[self.target])?;
+            stream.set_nodelay(true)?;
+            self.conn = Some(BufReader::new(stream));
         }
-        let count = batch.min(spec.requests - base);
-        if let Some(step) = interval {
-            // The whole window departs on its first query's arrival slot:
-            // batching trades per-query pacing for amortization.
-            let slot = start + step * base as u32;
-            let now = Instant::now();
-            if slot > now {
-                std::thread::sleep(slot - now);
-            }
+        let conn = self.conn.as_mut().expect("connected above");
+        write_unsent(self.framing, window, conn.get_mut())
+    }
+
+    /// Reads one reply and hands it back with the request it answers: the
+    /// one whose id it echoes, else (an id-less line, an unknown id, a
+    /// line that does not parse) the oldest in the window. `false` when
+    /// the connection died.
+    fn receive(
+        &mut self,
+        window: &mut VecDeque<Pending<'_>>,
+        on_reply: &mut impl FnMut(Reply),
+    ) -> bool {
+        let conn = self.conn.as_mut().expect("send connected");
+        let mut line = String::new();
+        if !matches!(conn.read_line(&mut line), Ok(n) if n > 0) {
+            return false;
         }
-        let queries: Vec<BatchQuery> = (0..count)
-            .map(|j| BatchQuery {
-                id: (base + j) as u64,
-                instance: pool[(base + j) % pool.len()].clone(),
-                deadline_ms: spec.deadline_ms,
-                kernel: spec.kernel,
-            })
-            .collect();
-        let line =
-            match serde_json::to_string(&WireRequest::SolveBatch(SolveBatchRequest { queries })) {
-                Ok(line) => line,
-                Err(_) => {
-                    // Unreachable in practice: the pool pre-serialized.
-                    lock_recover(tally).wire_errors += count as u64;
-                    continue;
-                }
-            };
-        let first_send = Instant::now();
-        match client.roundtrip_many(&line, count, retries_made) {
-            Ok((last_send, replies)) => {
-                let mut expected: VecDeque<u64> = (base as u64..(base + count) as u64).collect();
-                for (received, reply) in replies {
-                    let us = received
-                        .duration_since(first_send)
-                        .as_micros()
-                        .min(u128::from(u64::MAX)) as u64;
-                    let us_last = received
-                        .duration_since(last_send)
-                        .as_micros()
-                        .min(u128::from(u64::MAX)) as u64;
-                    match proto::decode_response_line(reply.trim()) {
-                        Ok((Some(id), response)) if expected.contains(&id) => {
-                            let pos = expected
-                                .iter()
-                                .position(|&x| x == id)
-                                .expect("checked contains above");
-                            expected.remove(pos);
-                            let mut t = lock_recover(tally);
-                            if pos > 0 {
-                                t.out_of_order += 1;
-                                t.reorder_depth_max = t.reorder_depth_max.max(pos as u64);
-                            }
-                            tally_response(&mut t, Some(response), us, us_last);
-                        }
-                        other => {
-                            // An id-less or unknown-id line: charge it to
-                            // the oldest unanswered query in the window.
-                            if expected.pop_front().is_some() {
-                                let response = other.ok().map(|(_, r)| r);
-                                tally_response(&mut lock_recover(tally), response, us, us_last);
-                            }
-                        }
-                    }
-                }
-            }
-            Err(_) => lock_recover(tally).wire_errors += count as u64,
+        let decoded = proto::decode_response_line(line.trim()).ok();
+        let at = match &decoded {
+            Some((Some(id), _)) => window.iter().position(|p| p.id == *id),
+            _ => None,
+        }
+        .unwrap_or(0);
+        let pending = window.remove(at).expect("the window is not empty");
+        on_reply(pending.reply(decoded.map(|(_, r)| r), at));
+        true
+    }
+
+    /// One request on an empty window: the only way a bare `"Metrics"`
+    /// line goes out. `None` when no parseable reply came back.
+    fn call(&mut self, line: &str) -> Option<WireResponse> {
+        let mut job = Some((0, line));
+        let mut response = None;
+        self.drive(|| job.take(), |reply| response = reply.response);
+        response
+    }
+
+    /// The server's metrics snapshot; the default (all-zero) snapshot
+    /// when the server cannot answer.
+    fn metrics(&mut self) -> MetricsSnapshot {
+        match self.call(METRICS_LINE) {
+            Some(WireResponse::Metrics(m)) => m,
+            _ => MetricsSnapshot::default(),
         }
     }
 }
 
+/// The id-less `Solve` line for each pool instance.
+fn solve_lines(pool: &[krsp::Instance], spec: &LoadSpec) -> std::io::Result<Vec<String>> {
+    pool.iter()
+        .map(|inst| {
+            serde_json::to_string(&WireRequest::Solve(SolveRequest {
+                instance: inst.clone(),
+                deadline_ms: spec.deadline_ms,
+                kernel: spec.kernel,
+            }))
+            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))
+        })
+        .collect()
+}
+
 /// Replays `spec` over the NDJSON wire protocol against the server (or
-/// comma-separated servers) at `remote.addr`, one TCP connection per
-/// client thread. With multiple targets, clients spread their initial
-/// connections across the list and rotate to the next target on each
-/// reconnect.
+/// comma-separated servers) at `remote.addr`, one connection per client
+/// thread, each driven by the window engine. With multiple targets,
+/// clients spread their initial connections across the list and rotate to
+/// the next target on each reconnect.
 ///
 /// Transport errors reconnect and reissue with backoff; a request that
 /// exhausts its retry budget is tallied under `wire_errors` rather than
@@ -934,18 +800,14 @@ fn run_batched_client(
 /// answered attempt's send. The final metrics snapshot is fetched over a
 /// fresh connection (left at its default if the server is already gone).
 ///
-/// With [`LoadSpec::pipeline`] > 1 each client keeps that many requests
-/// in flight per connection, tagging them with ids and matching the
-/// responses in completion order; the report then carries the observed
-/// reordering (`out_of_order_replies`, `reorder_depth_max`) and per-id
-/// latencies. A connection that dies mid-window reissues every
-/// outstanding id on the replacement connection.
-///
-/// With [`LoadSpec::batch`] > 1 each client instead groups that many
-/// claimed requests into a single `SolveBatch` line per round trip and
-/// matches the per-query responses by id; per-query latency spans from
-/// the batch line's send to the receipt of the response carrying that
-/// query's id.
+/// [`LoadSpec::pipeline`] > 1 keeps that many ids in flight per
+/// connection and matches the responses in completion order; the report
+/// then carries the observed reordering (`out_of_order_replies`,
+/// `reorder_depth_max`). [`LoadSpec::batch`] > 1 sends each window of that
+/// many queries as one `SolveBatch` line instead, once the window is
+/// claimed (under [`LoadSpec::qps`] pacing, when its last query is due);
+/// per-query latency runs from the query's claim to the response carrying
+/// its id.
 ///
 /// # Errors
 /// Returns an error when a request line cannot be serialized or when
@@ -961,28 +823,7 @@ pub fn run_remote(spec: &LoadSpec, remote: &RemoteSpec) -> std::io::Result<LoadR
         !pool.is_empty(),
         "load spec generated no feasible instances"
     );
-    let lines: Vec<String> = pool
-        .iter()
-        .map(|inst| {
-            serde_json::to_string(&WireRequest::Solve(SolveRequest {
-                instance: inst.clone(),
-                deadline_ms: spec.deadline_ms,
-                kernel: spec.kernel,
-            }))
-            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))
-        })
-        .collect::<std::io::Result<_>>()?;
-
-    let next = AtomicUsize::new(0);
-    let retries_made = AtomicU64::new(0);
-    let tally = Mutex::new(Tally::default());
-    let start = Instant::now();
-    let interval = if spec.qps > 0.0 {
-        Some(Duration::from_secs_f64(1.0 / spec.qps))
-    } else {
-        None
-    };
-
+    let lines = solve_lines(&pool, spec)?;
     let depth = spec.pipeline.max(1);
     let batch = spec.batch.max(1);
     if depth > 1 && batch > 1 {
@@ -991,96 +832,44 @@ pub fn run_remote(spec: &LoadSpec, remote: &RemoteSpec) -> std::io::Result<LoadR
             "pipeline and batch are mutually exclusive",
         ));
     }
-    std::thread::scope(|s| {
-        for c in 0..spec.clients.max(1) {
-            let (next, retries_made, tally, lines, pool) =
-                (&next, &retries_made, &tally, &lines, &pool);
-            let salt = spec.seed ^ (c as u64 + 1);
-            if batch > 1 {
+
+    let next = AtomicUsize::new(0);
+    let tally = Mutex::new(Tally::default());
+    let start = Instant::now();
+    let interval = (spec.qps > 0.0).then(|| Duration::from_secs_f64(1.0 / spec.qps));
+    let client_retries: u64 = std::thread::scope(|s| {
+        let clients: Vec<_> = (0..spec.clients.max(1))
+            .map(|c| {
+                let (next, tally, lines) = (&next, &tally, &lines);
                 s.spawn(move || {
-                    run_batched_client(
-                        remote,
-                        batch,
-                        salt,
-                        spec,
-                        pool,
-                        next,
-                        retries_made,
-                        tally,
-                        start,
-                        interval,
-                    );
-                });
-                continue;
-            }
-            if depth > 1 {
-                s.spawn(move || {
-                    run_pipelined_client(
-                        remote,
-                        depth,
-                        salt,
-                        spec,
-                        lines,
-                        next,
-                        retries_made,
-                        tally,
-                        start,
-                        interval,
-                    );
-                });
-                continue;
-            }
-            let mut client = WireClient::new(&remote.addr, remote.retries, salt);
-            s.spawn(move || loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= spec.requests {
-                    break;
-                }
-                if let Some(step) = interval {
-                    let slot = start + step * i as u32;
-                    let now = Instant::now();
-                    if slot > now {
-                        std::thread::sleep(slot - now);
-                    }
-                }
-                let first_send = Instant::now();
-                let reply = client.roundtrip(&lines[i % lines.len()], retries_made);
-                let received = Instant::now();
-                let (last_send, response) = match reply {
-                    Ok((sent, r)) => (sent, serde_json::from_str::<WireResponse>(r.trim()).ok()),
-                    Err(_) => (first_send, None),
-                };
-                let us = received
-                    .duration_since(first_send)
-                    .as_micros()
-                    .min(u128::from(u64::MAX)) as u64;
-                let us_last = received
-                    .duration_since(last_send)
-                    .as_micros()
-                    .min(u128::from(u64::MAX)) as u64;
-                tally_response(&mut lock_recover(tally), response, us, us_last);
-            });
-        }
+                    let mut engine = Engine::new(remote, spec.seed ^ (c as u64 + 1), depth, batch);
+                    let claim = || {
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        (i < spec.requests).then(|| {
+                            pace(start, interval, i);
+                            (i as u64, lines[i % lines.len()].as_str())
+                        })
+                    };
+                    engine.drive(claim, |reply| lock_recover(tally).record(reply));
+                    engine.retries_made
+                })
+            })
+            .collect();
+        clients
+            .into_iter()
+            .map(|c| c.join().expect("load client thread"))
+            .sum()
     });
 
     let wall = start.elapsed();
     let t = tally.into_inner().unwrap_or_else(|e| e.into_inner());
-    let metrics_line =
-        serde_json::to_string(&WireRequest::Metrics).unwrap_or_else(|_| "\"Metrics\"".to_string());
-    let service_metrics = WireClient::new(&remote.addr, remote.retries, spec.seed)
-        .roundtrip(&metrics_line, &retries_made)
-        .ok()
-        .and_then(|(_, r)| serde_json::from_str::<WireResponse>(r.trim()).ok())
-        .and_then(|r| match r {
-            WireResponse::Metrics(m) => Some(m),
-            _ => None,
-        })
-        .unwrap_or_default();
+    let mut fetch = Engine::new(remote, spec.seed, 1, 1);
+    let service_metrics = fetch.metrics();
     Ok(build_report(
         spec.requests as u64,
         wall,
         t,
-        retries_made.load(Ordering::Relaxed),
+        client_retries + fetch.retries_made,
         depth as u64,
         batch as u64,
         service_metrics,
@@ -1165,29 +954,13 @@ pub struct RollingReport {
     pub service_metrics: MetricsSnapshot,
 }
 
-/// Fetches the server's metrics snapshot over `client`; a server that
-/// cannot answer yields the default (all-zero) snapshot, mirroring
-/// [`run_remote`]'s final fetch.
-fn fetch_metrics(client: &mut WireClient, retries_made: &AtomicU64) -> MetricsSnapshot {
-    let line =
-        serde_json::to_string(&WireRequest::Metrics).unwrap_or_else(|_| "\"Metrics\"".to_string());
-    client
-        .roundtrip(&line, retries_made)
-        .ok()
-        .and_then(|(_, r)| serde_json::from_str::<WireResponse>(r.trim()).ok())
-        .and_then(|r| match r {
-            WireResponse::Metrics(m) => Some(m),
-            _ => None,
-        })
-        .unwrap_or_default()
-}
-
 /// Replays a rolling-update scenario over the wire: registers every pool
 /// instance's topology as a lineage, then alternates traffic windows with
 /// epoch advances whose cost ramps are mirrored onto the client-side
 /// instances (so each window's requests match the lineage's *current*
 /// weights and land in the epoch-scoped cache lane rather than missing
-/// into canonical keys).
+/// into canonical keys). Every request, registrations and advances
+/// included, goes through one classic (depth-1) window engine.
 ///
 /// Each window's report carries both client-side outcomes (completion,
 /// hits, exact latency order statistics) and server-side counter deltas
@@ -1195,10 +968,10 @@ fn fetch_metrics(client: &mut WireClient, retries_made: &AtomicU64) -> MetricsSn
 /// the window, plus what the preceding advance retained/evicted/seeded.
 ///
 /// # Errors
-/// Returns an error when registration fails (transport or a non-
-/// `Registered` reply), when a request line cannot be serialized, or when
-/// a ramped instance no longer validates — transport failures *during* a
-/// window are absorbed into that window's `wire_errors` instead.
+/// Returns an error when registration or an advance gets no reply or the
+/// wrong one, when a request line cannot be serialized, or when a ramped
+/// instance no longer validates — transport failures *during* a window
+/// are absorbed into that window's `wire_errors` instead.
 ///
 /// # Panics
 /// Panics when no feasible instance can be generated from the spec.
@@ -1214,20 +987,23 @@ pub fn run_rolling(
         "load spec generated no feasible instances"
     );
 
-    let retries_made = AtomicU64::new(0);
-    let mut client = WireClient::new(&remote.addr, remote.retries, spec.seed);
+    let mut engine = Engine::new(remote, spec.seed, 1, 1);
+    let call = |engine: &mut Engine, request: &WireRequest| {
+        let line = serde_json::to_string(request).map_err(|e| invalid(e.to_string()))?;
+        engine
+            .call(&line)
+            .ok_or_else(|| invalid(format!("no reply to {line:.40}…")))
+    };
 
     // Register every instance's topology; the handle (a hex structural
     // digest) names the lineage in later Epoch advances.
     let mut topos: Vec<String> = Vec::with_capacity(pool.len());
     for inst in &pool {
-        let line = serde_json::to_string(&WireRequest::Register(proto::RegisterRequest {
+        let register = WireRequest::Register(proto::RegisterRequest {
             graph: inst.graph.clone(),
-        }))
-        .map_err(|e| invalid(e.to_string()))?;
-        let (_, reply) = client.roundtrip(&line, &retries_made)?;
-        match serde_json::from_str::<WireResponse>(reply.trim()) {
-            Ok(WireResponse::Registered(r)) => topos.push(r.topo),
+        });
+        match call(&mut engine, &register)? {
+            WireResponse::Registered(r) => topos.push(r.topo),
             other => {
                 return Err(invalid(format!(
                     "registration got a non-Registered reply: {other:?}"
@@ -1253,22 +1029,19 @@ pub fn run_rolling(
                         .wrapping_add(7919 * w as u64)
                         .wrapping_add(i as u64),
                 );
-                let wire: Vec<proto::WireChange> = changes
-                    .iter()
-                    .map(|c| proto::WireChange {
-                        edge: c.edge.0,
-                        cost: c.cost,
-                        delay: c.delay,
-                    })
-                    .collect();
-                let line = serde_json::to_string(&WireRequest::Epoch(proto::EpochRequest {
+                let advance = WireRequest::Epoch(proto::EpochRequest {
                     topo: topos[i].clone(),
-                    changes: wire,
-                }))
-                .map_err(|e| invalid(e.to_string()))?;
-                let (_, reply) = client.roundtrip(&line, &retries_made)?;
-                match serde_json::from_str::<WireResponse>(reply.trim()) {
-                    Ok(WireResponse::Epoch(r)) => {
+                    changes: changes
+                        .iter()
+                        .map(|c| proto::WireChange {
+                            edge: c.edge.0,
+                            cost: c.cost,
+                            delay: c.delay,
+                        })
+                        .collect(),
+                });
+                match call(&mut engine, &advance)? {
+                    WireResponse::Epoch(r) => {
                         retained += r.retained;
                         evicted += r.evicted;
                         seeds += r.seeds;
@@ -1285,39 +1058,12 @@ pub fn run_rolling(
             }
         }
 
-        let lines: Vec<String> = pool
-            .iter()
-            .map(|inst| {
-                serde_json::to_string(&WireRequest::Solve(SolveRequest {
-                    instance: inst.clone(),
-                    deadline_ms: spec.deadline_ms,
-                    kernel: spec.kernel,
-                }))
-                .map_err(|e| invalid(e.to_string()))
-            })
-            .collect::<std::io::Result<_>>()?;
-
-        let before = fetch_metrics(&mut client, &retries_made);
+        let lines = solve_lines(&pool, spec)?;
+        let before = engine.metrics();
         let mut t = Tally::default();
-        for i in 0..spec.requests {
-            let first_send = Instant::now();
-            let reply = client.roundtrip(&lines[i % lines.len()], &retries_made);
-            let received = Instant::now();
-            let (last_send, response) = match reply {
-                Ok((sent, r)) => (sent, serde_json::from_str::<WireResponse>(r.trim()).ok()),
-                Err(_) => (first_send, None),
-            };
-            let us = received
-                .duration_since(first_send)
-                .as_micros()
-                .min(u128::from(u64::MAX)) as u64;
-            let us_last = received
-                .duration_since(last_send)
-                .as_micros()
-                .min(u128::from(u64::MAX)) as u64;
-            tally_response(&mut t, response, us, us_last);
-        }
-        let after = fetch_metrics(&mut client, &retries_made);
+        let mut jobs = (0..spec.requests).map(|i| (i as u64, lines[i % lines.len()].as_str()));
+        engine.drive(|| jobs.next(), |reply| t.record(reply));
+        let after = engine.metrics();
 
         let all: Vec<u64> = t
             .hit_latencies
@@ -1346,7 +1092,7 @@ pub fn run_rolling(
     Ok(RollingReport {
         lineages: pool.len() as u64,
         windows,
-        transport_retries: retries_made.load(Ordering::Relaxed),
+        transport_retries: engine.retries_made,
         service_metrics: last_metrics,
     })
 }
@@ -1441,6 +1187,7 @@ pub fn render(report: &LoadReport) -> String {
 mod tests {
     use super::*;
     use crate::service::ServiceConfig;
+    use std::sync::Arc;
 
     #[test]
     fn replay_reaches_the_cache() {
@@ -1469,24 +1216,259 @@ mod tests {
         assert!(!render(&report).is_empty());
     }
 
+    /// The exact lines the engine writes, one write per line with its
+    /// `\n`, in all three framings — and the canonical encoders agree.
     #[test]
-    fn spliced_id_matches_the_canonical_encoder() {
-        let spec = LoadSpec {
-            unique: 1,
-            n: 24,
-            ..LoadSpec::default()
-        };
-        let inst = build_pool(&spec).remove(0);
-        let req = WireRequest::Solve(SolveRequest {
+    fn window_engine_writes_golden_lines() {
+        let g = krsp_graph::DiGraph::from_edges(2, &[(0, 1, 3, 4)]);
+        let inst =
+            krsp::Instance::new(g, krsp_graph::NodeId(0), krsp_graph::NodeId(1), 1, 9).unwrap();
+        let solve = SolveRequest {
             instance: inst,
             deadline_ms: Some(250),
             kernel: None,
-        });
-        let plain = serde_json::to_string(&req).unwrap();
-        assert_eq!(
-            line_with_id(&plain, 7),
-            proto::encode_request_with_id(7, &req)
+        };
+        let line = serde_json::to_string(&WireRequest::Solve(solve.clone())).unwrap();
+        let payload = concat!(
+            r#""instance":{"graph":{"n":2,"edges":[{"src":0,"dst":1,"cost":3,"delay":4}]},"#,
+            r#""s":0,"t":1,"k":1,"delay_bound":9},"deadline_ms":250}"#
         );
+        assert_eq!(line, format!("{{\"Solve\":{{{payload}}}"));
+
+        let writes = |framing: Framing| {
+            let mut window: VecDeque<Pending> = [7u64, 8]
+                .into_iter()
+                .map(|id| Pending {
+                    id,
+                    line: &line,
+                    first_send: Instant::now(),
+                    last_send: Instant::now(),
+                    sent: id == 8 && framing == Framing::Plain,
+                })
+                .collect();
+            let mut out = Writes(Vec::new());
+            write_unsent(framing, &mut window, &mut out).unwrap();
+            assert!(
+                window.iter().all(|p| p.sent),
+                "{framing:?} left a request unsent"
+            );
+            // A second flush has nothing left to write.
+            write_unsent(framing, &mut window, &mut out).unwrap();
+            out.0
+        };
+        // Depth 1 writes the historical id-less line (the second request
+        // is already on the wire, so only the first goes out).
+        assert_eq!(writes(Framing::Plain), vec![format!("{line}\n")]);
+        assert_eq!(
+            writes(Framing::Ids),
+            vec![
+                format!("{{\"id\":7,\"Solve\":{{{payload}}}\n"),
+                format!("{{\"id\":8,\"Solve\":{{{payload}}}\n"),
+            ]
+        );
+        assert_eq!(
+            writes(Framing::Batch),
+            vec![format!(
+                "{{\"SolveBatch\":{{\"queries\":[{{\"id\":7,{payload},{{\"id\":8,{payload}]}}}}\n"
+            )]
+        );
+
+        let request = WireRequest::Solve(solve.clone());
+        assert_eq!(
+            writes(Framing::Ids)[0],
+            format!("{}\n", proto::encode_request_with_id(7, &request))
+        );
+        let batch = WireRequest::SolveBatch(proto::SolveBatchRequest {
+            queries: [7, 8]
+                .into_iter()
+                .map(|id| proto::BatchQuery {
+                    id,
+                    instance: solve.instance.clone(),
+                    deadline_ms: solve.deadline_ms,
+                    kernel: solve.kernel,
+                })
+                .collect(),
+        });
+        assert_eq!(
+            writes(Framing::Batch),
+            vec![format!("{}\n", serde_json::to_string(&batch).unwrap())]
+        );
+        // The bare metrics request is the historical one and never gets
+        // an id spliced in.
+        assert_eq!(
+            serde_json::to_string(&WireRequest::Metrics).unwrap(),
+            METRICS_LINE
+        );
+        assert_eq!(
+            frame(Framing::Ids, std::iter::once((3, METRICS_LINE))),
+            vec![format!("{METRICS_LINE}\n")]
+        );
+    }
+
+    /// Records every `write` call separately.
+    struct Writes(Vec<String>);
+
+    impl Write for Writes {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.0.push(String::from_utf8(buf.to_vec()).unwrap());
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// A scripted stand-in server. When `drop_first`, the first
+    /// connection is closed after one line without an answer. Otherwise
+    /// every request gets an id-echoing `Rejected`, answered `window`
+    /// requests at a time in reverse order; a bare line (`"Metrics"`) is
+    /// answered at once with an `Error`. Also returns the count of
+    /// request lines answered.
+    fn scripted_server(drop_first: bool, window: usize) -> (String, Arc<AtomicUsize>) {
+        use std::net::TcpListener;
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let lines = Arc::new(AtomicUsize::new(0));
+        let counter = Arc::clone(&lines);
+        std::thread::spawn(move || {
+            for (n, stream) in listener.incoming().enumerate() {
+                let Ok(stream) = stream else { return };
+                let counter = Arc::clone(&counter);
+                std::thread::spawn(move || {
+                    let mut reader = BufReader::new(stream);
+                    let mut held: Vec<Option<u64>> = Vec::new();
+                    let mut line = String::new();
+                    while matches!(reader.read_line(&mut line), Ok(k) if k > 0) {
+                        if n == 0 && drop_first {
+                            return;
+                        }
+                        let request = serde_json::parse_value(line.trim()).unwrap();
+                        line.clear();
+                        counter.fetch_add(1, Ordering::Relaxed);
+                        let id = |c: &serde::Content| match c.field("id") {
+                            Ok(serde::Content::Int(id)) => Some(*id as u64),
+                            _ => None,
+                        };
+                        let mut out = String::new();
+                        match &request {
+                            serde::Content::Str(_) => out.push_str(
+                                "{\"Error\":{\"kind\":\"internal\",\"message\":\"scripted\"}}\n",
+                            ),
+                            c => match c.field("SolveBatch") {
+                                Ok(batch) => match batch.field("queries").unwrap() {
+                                    serde::Content::Seq(qs) => held.extend(qs.iter().map(id)),
+                                    other => panic!("queries: {other:?}"),
+                                },
+                                Err(_) => held.push(id(c)),
+                            },
+                        }
+                        if held.len() >= window {
+                            for id in held.drain(..).rev() {
+                                match id {
+                                    Some(id) => out.push_str(&format!(
+                                        "{{\"id\":{id},\"Rejected\":\"scripted\"}}\n"
+                                    )),
+                                    None => out.push_str("{\"Rejected\":\"scripted\"}\n"),
+                                }
+                            }
+                        }
+                        if reader.get_mut().write_all(out.as_bytes()).is_err() {
+                            return;
+                        }
+                    }
+                });
+            }
+        });
+        (addr, lines)
+    }
+
+    fn framings() -> [(usize, usize); 3] {
+        // (pipeline, batch): classic, pipelined, batched.
+        [(1, 1), (4, 1), (1, 4)]
+    }
+
+    #[test]
+    fn window_engine_matches_replies_by_id_out_of_order() {
+        for (pipeline, batch) in framings() {
+            let window = pipeline.max(batch);
+            let spec = LoadSpec {
+                requests: 16,
+                unique: 2,
+                clients: 1,
+                n: 24,
+                pipeline,
+                batch,
+                ..LoadSpec::default()
+            };
+            let (addr, lines) = scripted_server(false, window);
+            let remote = RemoteSpec { addr, retries: 0 };
+            let report = run_remote(&spec, &remote).unwrap();
+            let label = format!("pipeline {pipeline} batch {batch}");
+            assert_eq!(report.infeasible, 16, "{label}: {report:?}");
+            // One line per request, or one per window of `batch` queries,
+            // plus the final `"Metrics"`.
+            assert_eq!(lines.load(Ordering::Relaxed), 16 / batch + 1, "{label}");
+            assert_eq!(report.wire_errors, 0, "{label}");
+            assert_eq!(report.transport_retries, 0, "{label}");
+            assert_eq!(
+                (report.pipeline_depth, report.batch_size),
+                (pipeline as u64, batch as u64)
+            );
+            if window == 1 {
+                assert_eq!(report.out_of_order_replies, 0, "{label}");
+            } else {
+                // Reversed windows: the newest id overtakes every older one.
+                assert!(report.out_of_order_replies > 0, "{label}: {report:?}");
+                assert_eq!(report.reorder_depth_max, window as u64 - 1, "{label}");
+            }
+        }
+    }
+
+    #[test]
+    fn window_engine_reissues_the_window_after_a_connection_death() {
+        for (pipeline, batch) in framings() {
+            let spec = LoadSpec {
+                requests: 8,
+                unique: 2,
+                clients: 1,
+                n: 24,
+                pipeline,
+                batch,
+                ..LoadSpec::default()
+            };
+            let remote = RemoteSpec {
+                addr: scripted_server(true, 1).0,
+                retries: 3,
+            };
+            let report = run_remote(&spec, &remote).unwrap();
+            let label = format!("pipeline {pipeline} batch {batch}");
+            assert_eq!(
+                report.infeasible, 8,
+                "{label}: a request was lost: {report:?}"
+            );
+            assert_eq!(report.wire_errors, 0, "{label}");
+            assert!(report.transport_retries >= 1, "{label}: {report:?}");
+        }
+
+        // With no retry budget the dropped window is charged to
+        // `wire_errors`, request by request, and the replay goes on.
+        let spec = LoadSpec {
+            requests: 8,
+            unique: 2,
+            clients: 1,
+            n: 24,
+            pipeline: 4,
+            ..LoadSpec::default()
+        };
+        let remote = RemoteSpec {
+            addr: scripted_server(true, 1).0,
+            retries: 0,
+        };
+        let report = run_remote(&spec, &remote).unwrap();
+        assert_eq!(report.transport_retries, 0);
+        assert!(report.wire_errors >= 1, "{report:?}");
+        assert_eq!(report.wire_errors + report.infeasible, 8, "{report:?}");
     }
 
     #[test]
@@ -1541,7 +1523,7 @@ mod tests {
     }
 
     #[test]
-    fn batched_replay_round_trips_over_the_wire() {
+    fn every_framing_round_trips_over_the_wire() {
         use crate::proto::serve_on;
         use std::net::TcpListener;
 
@@ -1557,35 +1539,46 @@ mod tests {
                 let _ = serve_on(&svc, listener);
             });
         }
-        let spec = LoadSpec {
-            requests: 24,
-            unique: 2,
-            clients: 2,
-            batch: 4,
-            n: 24,
-            ..LoadSpec::default()
-        };
         let remote = RemoteSpec {
             addr: addr.to_string(),
             retries: 2,
         };
-        let report = run_remote(&spec, &remote).unwrap();
-        assert_eq!(report.issued, 24);
-        assert_eq!(report.batch_size, 4);
-        assert_eq!(report.wire_errors, 0, "batched replay hit wire errors");
-        assert_eq!(
-            report.completed + report.infeasible + report.rejected_queue_full,
-            24,
-            "every batched query must be answered exactly once"
-        );
-        assert!(report.latency.count > 0);
-        assert!(render(&report).contains("batch: size 4"));
+        for (pipeline, batch) in framings() {
+            let spec = LoadSpec {
+                requests: 24,
+                unique: 2,
+                clients: 2,
+                pipeline,
+                batch,
+                n: 24,
+                ..LoadSpec::default()
+            };
+            let report = run_remote(&spec, &remote).unwrap();
+            let label = format!("pipeline {pipeline} batch {batch}");
+            assert_eq!(report.issued, 24);
+            assert_eq!(report.batch_size, batch as u64);
+            assert_eq!(report.pipeline_depth, pipeline as u64);
+            assert_eq!(report.wire_errors, 0, "{label}: wire errors");
+            assert_eq!(
+                report.completed + report.infeasible + report.rejected_queue_full,
+                24,
+                "{label}: every query must be answered exactly once"
+            );
+            assert!(report.latency.count > 0);
+            assert!(
+                report.service_metrics.completed > 0,
+                "{label}: no final metrics"
+            );
+            if batch > 1 {
+                assert!(render(&report).contains("batch: size 4"));
+            }
+        }
 
         // pipeline and batch together is an input error, not a replay.
         let bad = LoadSpec {
             pipeline: 2,
             batch: 2,
-            ..spec
+            ..LoadSpec::default()
         };
         assert!(run_remote(&bad, &remote).is_err());
     }

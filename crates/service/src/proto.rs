@@ -41,20 +41,19 @@
 //! [`serve_with_shutdown`] is the graceful entry point: on shutdown it
 //! stops accepting, flips the service into drain mode (see
 //! [`Service::begin_shutdown`]), answers the in-flight work, and bounds
-//! the whole farewell by a grace period. The previous thread-per-
-//! connection server survives as [`serve_threaded_with_shutdown`] — the
-//! A/B baseline and the fallback where no poll facility exists.
+//! the whole farewell by a grace period. The frontend is Unix-only (epoll
+//! on Linux, poll(2) elsewhere); other platforms get `Unsupported`.
 
 use crate::degrade::{Guarantee, Rung};
 use crate::metrics::MetricsSnapshot;
 use crate::service::{Rejection, Request, Response, Service};
 use krsp::{Instance, KernelKind};
 use serde::{Content, Deserialize, Serialize};
-use std::io::{BufRead, BufReader, ErrorKind as IoErrorKind, Write};
+use std::io::{BufRead, ErrorKind as IoErrorKind, Write};
 use std::net::{TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Hard cap on one request line. A line longer than this is rejected with
 /// an [`WireResponse::Error`] and drained, instead of being buffered — an
@@ -498,8 +497,8 @@ pub struct RingReply {
 
 /// Builds a [`HealthReply`] from the service's current state. `conn_caps`
 /// carries the frontend's `(open, max)` connection counts when serving
-/// over TCP; `None` (library/threaded use) bases shedding on admission
-/// pressure alone.
+/// over TCP; `None` (library use) bases shedding on admission pressure
+/// alone.
 #[must_use]
 pub fn health_reply(service: &Service, conn_caps: Option<(u64, u64)>) -> HealthReply {
     let m = service.metrics();
@@ -661,9 +660,9 @@ pub struct SolvedReply {
     pub deadline_missed: bool,
 }
 
-/// Maps a provisioning outcome onto the wire — the single point both the
-/// blocking and the event-driven frontends share, so solve payloads are
-/// bit-identical regardless of which server answered.
+/// Maps a provisioning outcome onto the wire — the single point the
+/// frontend and [`dispatch_line`] share, so solve payloads are
+/// bit-identical on either path.
 #[must_use]
 pub(crate) fn solve_response(out: Result<Response, Rejection>) -> WireResponse {
     match out {
@@ -785,33 +784,33 @@ pub fn dispatch_batch(service: &Service, batch: SolveBatchRequest) -> Vec<(u64, 
 }
 
 /// Evaluates one raw NDJSON line, returning the response line(s) (without
-/// the trailing newline). A `SolveBatch` line yields one `\n`-joined
+/// the trailing newline). A request's `"id"` member is echoed on its
+/// response exactly as the frontend and the router echo it; id-less lines
+/// get the historical bytes. A `SolveBatch` line yields one `\n`-joined
 /// response line per query, each carrying its query's `"id"`.
 #[must_use]
 pub fn dispatch_line(service: &Service, line: &str) -> String {
-    let response = match serde_json::from_str::<WireRequest>(line) {
-        Ok(WireRequest::SolveBatch(batch)) => {
-            if batch.queries.is_empty() {
-                wire_error(ErrorKind::Parse, "empty SolveBatch: no queries")
-            } else {
-                if let Some(stats) = service.frontend_stats() {
-                    stats.batch(batch.queries.len() as u64);
-                }
-                return dispatch_batch(service, batch)
-                    .iter()
-                    .map(|(id, response)| {
-                        encode_response_line(Some(&Content::Int(i128::from(*id))), response)
-                    })
-                    .collect::<Vec<_>>()
-                    .join("\n");
+    let decoded = decode_request_line(line);
+    let response = match decoded.request {
+        Ok(WireRequest::SolveBatch(batch)) if !batch.queries.is_empty() => {
+            if let Some(stats) = service.frontend_stats() {
+                stats.batch(batch.queries.len() as u64);
             }
+            return dispatch_batch(service, batch)
+                .iter()
+                .map(|(id, response)| {
+                    encode_response_line(Some(&Content::Int(i128::from(*id))), response)
+                })
+                .collect::<Vec<_>>()
+                .join("\n");
+        }
+        Ok(WireRequest::SolveBatch(_)) => {
+            wire_error(ErrorKind::Parse, "empty SolveBatch: no queries")
         }
         Ok(req) => dispatch(service, req),
-        Err(e) => wire_error(ErrorKind::Parse, format!("bad request: {e}")),
+        Err(msg) => wire_error(ErrorKind::Parse, msg),
     };
-    serde_json::to_string(&response).unwrap_or_else(|e| {
-        format!("{{\"Error\":{{\"kind\":\"internal\",\"message\":\"serialize failed: {e}\"}}}}")
-    })
+    encode_response_line(decoded.id.as_ref(), &response)
 }
 
 // ---- request-id envelope ----------------------------------------------
@@ -1033,26 +1032,24 @@ pub struct ServeOptions {
     /// Budget for a *mid-line* read stall before the connection is
     /// dropped; an idle connection (between lines) never times out.
     pub read_timeout: Duration,
-    /// Socket write timeout: a client that stops draining its responses
-    /// cannot pin a connection thread forever.
+    /// Write-stall budget: a client that stops draining its responses is
+    /// dropped once its output has stayed blocked this long.
     pub write_timeout: Duration,
     /// How long shutdown waits for in-flight connections to finish before
     /// returning anyway.
     pub grace: Duration,
     /// Housekeeping tick: how often the server checks the shutdown flag
-    /// and enforces the stall timeouts. (In the threaded fallback, also
-    /// the per-read poll granularity.)
+    /// and enforces the stall timeouts.
     pub poll: Duration,
     /// Total open-connection cap; connections past it are answered with a
     /// `"shed"` error at accept and closed.
     pub max_conns: usize,
     /// Open-connection cap per client address; excess connections from one
-    /// address are shed at accept. (Event-driven server only.)
+    /// address are shed at accept.
     pub per_client_conns: usize,
     /// Token-bucket refill rate, in `Solve` requests per second per client
     /// address; `0` disables rate limiting. Refused requests get a
-    /// `"rate_limited"` error and the connection stays up. (Event-driven
-    /// server only.)
+    /// `"rate_limited"` error and the connection stays up.
     pub rate_per_sec: u64,
     /// Token-bucket burst capacity; `0` defaults to `2 × rate_per_sec`.
     pub rate_burst: u64,
@@ -1070,61 +1067,6 @@ impl Default for ServeOptions {
             rate_per_sec: 0,
             rate_burst: 0,
         }
-    }
-}
-
-fn handle_connection(
-    service: &Service,
-    stream: TcpStream,
-    shutdown: &AtomicBool,
-    opts: &ServeOptions,
-) -> std::io::Result<()> {
-    let tick = opts.poll.max(Duration::from_millis(1));
-    // A finite read timeout turns blocking reads into poll ticks, so the
-    // stall policy below runs even when no bytes arrive.
-    stream.set_read_timeout(Some(tick))?;
-    stream.set_write_timeout(Some(opts.write_timeout))?;
-    let mut writer = stream.try_clone()?;
-    let mut reader = BufReader::new(stream);
-    loop {
-        let mut stalled = Duration::ZERO;
-        let mut on_block = |partial: bool| {
-            if partial {
-                // A half-sent line: bounded patience, then drop — a
-                // stalled sender must not pin this thread forever.
-                stalled += tick;
-                if stalled >= opts.read_timeout {
-                    BlockAction::Fail
-                } else {
-                    BlockAction::Retry
-                }
-            } else if shutdown.load(Ordering::Acquire) {
-                // Idle between requests while draining: close cleanly. A
-                // request already in flight is not affected (we are here
-                // only when waiting for a *new* line).
-                BlockAction::Close
-            } else {
-                BlockAction::Retry
-            }
-        };
-        let reply = match read_line_capped(&mut reader, MAX_LINE_BYTES, &mut on_block)? {
-            LineRead::Eof => return Ok(()),
-            LineRead::TooLong => {
-                let msg = format!("request line exceeds {MAX_LINE_BYTES} bytes");
-                serde_json::to_string(&wire_error(ErrorKind::OversizeLine, msg))
-                    .expect("error response serializes")
-            }
-            LineRead::Line(raw) => {
-                let line = String::from_utf8_lossy(&raw);
-                if line.trim().is_empty() {
-                    continue;
-                }
-                dispatch_line(service, &line)
-            }
-        };
-        writer.write_all(reply.as_bytes())?;
-        writer.write_all(b"\n")?;
-        writer.flush()?;
     }
 }
 
@@ -1161,73 +1103,24 @@ pub fn serve_on(service: &Service, listener: TcpListener) -> std::io::Result<()>
 /// Returns once drained (or the grace lapsed), so the caller can flush
 /// final metrics before exiting.
 ///
-/// Where no poll facility exists (non-Unix), falls back to
-/// [`serve_threaded_with_shutdown`].
+/// # Errors
+/// The listener or reactor failure. Off Unix there is no poll facility and
+/// this is the reactor's `Unsupported` error.
 pub fn serve_with_shutdown(
     service: &Service,
     listener: TcpListener,
     shutdown: Arc<AtomicBool>,
     opts: ServeOptions,
 ) -> std::io::Result<()> {
-    match crate::frontend::serve_event_driven(service, listener, shutdown, opts) {
-        Err((e, Some((listener, shutdown, opts)))) if e.kind() == IoErrorKind::Unsupported => {
-            serve_threaded_with_shutdown(service, listener, shutdown, opts)
-        }
-        Err((e, _)) => Err(e),
-        Ok(()) => Ok(()),
+    #[cfg(unix)]
+    {
+        crate::frontend::serve_event_driven(service, listener, shutdown, opts)
     }
-}
-
-/// The previous thread-per-connection server: one OS thread per accepted
-/// connection, blocking reads with a poll-tick stall policy, in-order
-/// responses (ids are *not* echoed). Kept as the A/B baseline for the
-/// event-driven frontend and as the fallback where no poll facility
-/// exists; [`ServeOptions::max_conns`] is enforced (connections past the
-/// cap are shed at accept), but per-client caps and rate limits are not.
-pub fn serve_threaded_with_shutdown(
-    service: &Service,
-    listener: TcpListener,
-    shutdown: Arc<AtomicBool>,
-    opts: ServeOptions,
-) -> std::io::Result<()> {
-    listener.set_nonblocking(true)?;
-    let conns = Arc::new(AtomicUsize::new(0));
-    while !shutdown.load(Ordering::Acquire) {
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                // Connection sockets must not inherit the listener's
-                // nonblocking mode; handle_connection sets its own timeouts.
-                stream.set_nonblocking(false)?;
-                if conns.load(Ordering::Acquire) >= opts.max_conns {
-                    shed_at_accept(stream, "server connection limit reached");
-                    continue;
-                }
-                let service = service.clone();
-                let shutdown = Arc::clone(&shutdown);
-                let conns = Arc::clone(&conns);
-                let opts = opts.clone();
-                conns.fetch_add(1, Ordering::AcqRel);
-                std::thread::spawn(move || {
-                    let _ = handle_connection(&service, stream, &shutdown, &opts);
-                    conns.fetch_sub(1, Ordering::AcqRel);
-                });
-            }
-            Err(e) if e.kind() == IoErrorKind::WouldBlock => std::thread::sleep(opts.poll),
-            Err(e) if e.kind() == IoErrorKind::Interrupted => {}
-            Err(e) => return Err(e),
-        }
+    #[cfg(not(unix))]
+    {
+        let _ = (service, listener, shutdown, opts);
+        krsp_reactor::Reactor::new().map(drop)
     }
-    // Drain phase: the listener stops accepting (dropped below), admitted
-    // work finishes fast (cancel tokens trip to the cheapest rung), idle
-    // connections close on their next poll tick.
-    drop(listener);
-    service.begin_shutdown();
-    let deadline = crate::sync_util::saturating_deadline(Instant::now(), opts.grace);
-    while conns.load(Ordering::Acquire) > 0 && Instant::now() < deadline {
-        std::thread::sleep(opts.poll.min(Duration::from_millis(10)));
-    }
-    service.drain(deadline.saturating_duration_since(Instant::now()));
-    Ok(())
 }
 
 /// Best-effort `"shed"` error to a connection refused at accept, so the
@@ -1250,6 +1143,7 @@ mod tests {
     use super::*;
     use crate::service::ServiceConfig;
     use krsp_graph::{DiGraph, NodeId};
+    use std::io::BufReader;
 
     fn inst(d: i64) -> Instance {
         let g = DiGraph::from_edges(4, &[(0, 1, 1, 5), (1, 3, 1, 5), (0, 2, 4, 1), (2, 3, 4, 1)]);
@@ -1522,6 +1416,54 @@ mod tests {
             WireResponse::Error(e) => assert_eq!(e.kind, ErrorKind::Parse),
             other => panic!("expected Error, got {other:?}"),
         }
+
+        // `dispatch_line` decodes like the frontend and the router: an
+        // `"id"` member is echoed first, and the id-less bytes are the
+        // historical ones.
+        let with_id = |id: &str, line: &str| format!("{{\"id\":{id},{}", &line[1..]);
+        let bogus = "{\"Bogus\":1}";
+        let plain = dispatch_line(&svc, bogus);
+        assert_eq!(
+            plain,
+            r#"{"Error":{"kind":"parse","message":"bad request: unknown variant `Bogus` of WireRequest"}}"#
+        );
+        assert_eq!(
+            dispatch_line(&svc, &with_id("\"x\"", bogus)),
+            with_id("\"x\"", &plain)
+        );
+
+        let solve = serde_json::to_string(&WireRequest::Solve(SolveRequest {
+            instance: inst(20),
+            deadline_ms: None,
+            kernel: None,
+        }))
+        .unwrap();
+        let plain = dispatch_line(&svc, &solve);
+        assert!(plain.starts_with("{\"Solved\":{"), "{plain}");
+        match decode_response_line(&dispatch_line(&svc, &with_id("7", &solve))).unwrap() {
+            (Some(7), WireResponse::Solved(r)) => assert!(r.cache_hit),
+            other => panic!("expected an id-matched Solved, got {other:?}"),
+        }
+
+        // A batch answers per query id, whatever its envelope id.
+        let batch = serde_json::to_string(&WireRequest::SolveBatch(SolveBatchRequest {
+            queries: [4, 5]
+                .into_iter()
+                .map(|id| BatchQuery {
+                    id,
+                    instance: inst(20),
+                    deadline_ms: None,
+                    kernel: None,
+                })
+                .collect(),
+        }))
+        .unwrap();
+        let replies = dispatch_line(&svc, &with_id("7", &batch));
+        let ids: Vec<Option<u64>> = replies
+            .lines()
+            .map(|l| decode_response_line(l).unwrap().0)
+            .collect();
+        assert_eq!(ids, vec![Some(4), Some(5)]);
     }
 
     #[test]

@@ -1189,8 +1189,8 @@ impl Router {
 }
 
 /// Serves the router on `listener` until `shutdown` flips: thread per
-/// client connection, blocking reads with the same stall policy as the
-/// threaded replica server, plus the active prober. On shutdown the
+/// client connection, blocking reads with a poll-tick stall policy, plus
+/// the active prober. On shutdown the
 /// listener closes, in-flight client connections get
 /// [`RouterOptions::grace`] to finish, and the prober joins.
 pub fn serve_ring_with_shutdown(
@@ -1234,8 +1234,8 @@ pub fn serve_ring_with_shutdown(
 }
 
 /// One client connection: read request lines, answer each through the
-/// ring. Mirrors the threaded replica server's stall policy (idle
-/// connections close on drain; a half-sent line gets bounded patience).
+/// ring. Stall policy: idle connections close on drain; a half-sent line
+/// gets bounded patience.
 fn handle_client(router: &Router, stream: TcpStream, shutdown: &AtomicBool) -> std::io::Result<()> {
     let opts = router.options();
     let tick = opts.poll.max(Duration::from_millis(1));

@@ -676,7 +676,7 @@ impl Service {
     }
 
     /// The attached frontend counters, if a frontend has registered any —
-    /// how non-reactor entry points (the threaded server's `SolveBatch`
+    /// how non-reactor entry points (`proto::dispatch_line`'s `SolveBatch`
     /// fan-out) account the traffic they serve.
     #[must_use]
     pub fn frontend_stats(&self) -> Option<Arc<FrontendStats>> {
@@ -1250,6 +1250,9 @@ mod tests {
 
     #[test]
     fn disk_tier_answers_across_a_restart() {
+        let _io = crate::disk::FAILPOINT_LOCK
+            .read()
+            .unwrap_or_else(|e| e.into_inner());
         let dir = std::env::temp_dir().join(format!("krsp-svc-disk-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let cfg = ServiceConfig {
@@ -1282,6 +1285,9 @@ mod tests {
 
     #[test]
     fn restart_with_drifted_weights_never_serves_stale_scoped_records() {
+        let _io = crate::disk::FAILPOINT_LOCK
+            .read()
+            .unwrap_or_else(|e| e.into_inner());
         use krsp_graph::EdgeId;
         let dir = std::env::temp_dir().join(format!("krsp-svc-drift-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);

@@ -2,8 +2,9 @@
 //! out-of-order responses matched by id, slow-loris isolation and
 //! read-timeout enforcement, incremental framing under oversize lines and
 //! mid-line disconnects, connection caps, per-address rate limiting, the
-//! `Health` probe, and (ignored by default) a ≥512-connection scaling
-//! smoke with O(workers) server threads.
+//! `Health` probe, the pinned reply bytes of id-less and id'd lines, and
+//! (ignored by default) a ≥512-connection scaling smoke with O(workers)
+//! server threads.
 //!
 //! Tests that arm failpoints serialize on [`FP_LOCK`] — the registry is
 //! process-global — and clear it on drop, pass or fail.
@@ -709,4 +710,121 @@ fn register_and_epoch_requests_are_served_by_the_frontend() {
 
     send_line(&mut conn, &solve_line(&inst));
     assert!(read_reply(&mut conn).starts_with("{\"Solved\""));
+}
+
+/// Replaces the value of every `"name":<digits>` member with `_`, for
+/// members that carry a timing.
+fn mask(line: &str, name: &str) -> String {
+    let key = format!("\"{name}\":");
+    let mut out = String::new();
+    let mut rest = line;
+    while let Some(at) = rest.find(&key) {
+        let (head, tail) = rest.split_at(at + key.len());
+        out.push_str(head);
+        out.push('_');
+        rest = tail.trim_start_matches(|c: char| c.is_ascii_digit());
+    }
+    out.push_str(rest);
+    out
+}
+
+/// The top-level member names of the object under `tag` in `line`.
+fn member_names(line: &str, tag: &str) -> Vec<String> {
+    let content = serde_json::parse_value(line).expect("reply is JSON");
+    match content.field(tag).expect("tagged reply") {
+        serde::Content::Map(entries) => entries.iter().map(|(k, _)| k.clone()).collect(),
+        other => panic!("{tag} payload is not a map: {other:?}"),
+    }
+}
+
+/// The reactor's reply bytes, pinned: an id-less request gets the
+/// historical line and an id'd one the same line with `"id"` first — for
+/// `Solve`, `Metrics`, `Health` and `Error` replies.
+#[test]
+fn reply_bytes_are_pinned_for_idless_and_id_lines() {
+    let _fp = fp_lock();
+    let server = TestServer::start(
+        ServiceConfig {
+            workers: 2,
+            ..ServiceConfig::default()
+        },
+        quick_opts(),
+    );
+    let mut conn = server.connect();
+    let with_id = |id: u64, line: &str| format!("{{\"id\":{id},{}", &line[1..]);
+    let mut ask = |line: &str| {
+        send_line(&mut conn, line);
+        read_reply(&mut conn)
+    };
+
+    let solve = solve_line(&instance(1));
+    let solved = r#""Solved":{"cost":10,"delay":12,"edges":[0,1,2,3],"rung":"Full","guarantee":{"cost_factor":2,"delay_factor":1},"kernel":"classic","cache_hit":CACHE_HIT,"coalesced":false,"latency_us":_,"deadline_missed":false}}"#;
+    assert_eq!(
+        mask(&ask(&solve), "latency_us"),
+        format!("{{{}", solved.replace("CACHE_HIT", "false"))
+    );
+    assert_eq!(
+        mask(&ask(&with_id(7, &solve)), "latency_us"),
+        format!("{{\"id\":7,{}", solved.replace("CACHE_HIT", "true"))
+    );
+
+    let error = r#""Error":{"kind":"parse","message":"bad request: unknown variant `Bogus` of WireRequest"}}"#;
+    assert_eq!(ask("{\"Bogus\":1}"), format!("{{{error}"));
+    assert_eq!(ask("{\"id\":9,\"Bogus\":1}"), format!("{{\"id\":9,{error}"));
+
+    // `Health` and `Metrics` are bare strings: they cannot carry an id,
+    // and a map-shaped attempt is an id-matched parse error.
+    assert_eq!(
+        ask("\"Health\""),
+        format!(
+            "{}{}{}",
+            r#"{"Health":{"status":"ready","width":"#,
+            krsp::solver_width(),
+            r#","workers":2,"in_flight":0,"queue_limit":66,"conns_open":1,"cache_hits":1,"cache_misses":1,"cache_evictions":0,"kernel":"classic","kernels":[{"rung":"Full","kernel":"classic"},{"rung":"SingleProbe","kernel":"classic"},{"rung":"LpRounding","kernel":"classic"},{"rung":"MinDelay","kernel":"classic"}]}}"#
+        )
+    );
+    assert_eq!(
+        ask("{\"id\":3,\"Health\":null}"),
+        r#"{"id":3,"Error":{"kind":"parse","message":"bad request: unknown variant `Health` of WireRequest"}}"#
+    );
+    // The metrics payload carries timings; pin its head and member order.
+    let metrics = ask("\"Metrics\"");
+    let head = r#"{"Metrics":{"admitted":2,"rejected_queue_full":0,"rejected_expired":0,"completed":2,"infeasible":0,"cache_hits":1,"cache_misses":1,"cache_evictions":0,"cache_invalidations":0,"disk_hits":0,"disk_misses":0,"disk_recovered":0,"disk_dropped":0,"warm_starts":0,"epoch_advances":0,"epoch_retained":0,"epoch_evicted":0,"epoch":0,"coalesced":0,"per_shard":["#;
+    assert!(metrics.starts_with(head), "{metrics}");
+    assert_eq!(
+        member_names(&metrics, "Metrics"),
+        [
+            "admitted",
+            "rejected_queue_full",
+            "rejected_expired",
+            "completed",
+            "infeasible",
+            "cache_hits",
+            "cache_misses",
+            "cache_evictions",
+            "cache_invalidations",
+            "disk_hits",
+            "disk_misses",
+            "disk_recovered",
+            "disk_dropped",
+            "warm_starts",
+            "epoch_advances",
+            "epoch_retained",
+            "epoch_evicted",
+            "epoch",
+            "coalesced",
+            "per_shard",
+            "deadline_missed",
+            "per_rung",
+            "solver_panics",
+            "quarantined",
+            "rejected_shutdown",
+            "latency",
+            "frontend",
+        ]
+    );
+    assert_eq!(
+        ask("{\"id\":4,\"Metrics\":null}"),
+        r#"{"id":4,"Error":{"kind":"parse","message":"bad request: unknown variant `Metrics` of WireRequest"}}"#
+    );
 }

@@ -36,7 +36,7 @@ echo "== epoch report (T14: rolling retention, warm vs cold, SIGKILL restart)"
 # seed-participating re-solves, restart hit rate > 0 with disk recovery.
 cargo test -q --release --test chaos -- --ignored t14_epoch_warm_disk_report
 
-echo "== replica-ring suite (router unit + chaos: failover, drain handoff, hedging)"
+echo "== replica-ring suite on reactor replicas (router unit + chaos: failover, drain handoff, hedging)"
 cargo test -q -p krsp-service --lib router
 cargo test -q --test ring
 # The same chaos suite must hold with ambient router jitter injected from
@@ -61,6 +61,11 @@ cargo test -q --test kernel_diff
 
 echo "== frontend scaling smoke (512 conns, bounded threads, no drops)"
 cargo test -q --release -p krsp-service --test frontend -- --ignored scaling
+
+echo "== serving benchmark smoke (servebench builds; every BENCHMARK.json metric name and unit)"
+# The benchmark is its own Cargo package, built against the library by
+# path: a refactor that breaks its build or renames a metric fails here.
+cargo test -q --offline --release --manifest-path servebench/Cargo.toml
 
 echo "== bench harness smoke (tiny sizes, JSON must validate)"
 smoke_out="$(mktemp)"

@@ -9,7 +9,7 @@
 //!                  [--shards S] [--no-coalesce] [--threads T]
 //!                  [--deadline-ms MS] [--strict-deadlines]
 //!                  [--grace-ms MS] [--max-conns N] [--per-client-conns N]
-//!                  [--rate R] [--rate-burst B] [--threaded]
+//!                  [--rate R] [--rate-burst B]
 //!                  [--kernel classic|interval]
 //!                  [--cache-dir DIR] [--cache-disk-cap BYTES]
 //!   krsp-cli load [krsp-load flags...]
@@ -33,10 +33,10 @@
 //! request per line: `{"Solve": {"instance": {...}, "deadline_ms": 250}}`,
 //! `{"SolveBatch": {"queries": [{"id": 1, "instance": {...},
 //! "deadline_ms": 250}, ...]}}` (one line in, one id-matched response
-//! line per query out), `"Metrics"`, or `"Health"`. The default frontend
-//! is event-driven (one reactor thread multiplexing every connection;
-//! requests may carry ids and pipeline); `--threaded` selects the legacy thread-per-connection
-//! server for A/B comparison. `--max-conns` / `--per-client-conns` cap
+//! line per query out), `"Metrics"`, or `"Health"`. The frontend is
+//! event-driven (one reactor thread multiplexing every connection;
+//! requests may carry ids and pipeline) and Unix-only: it needs epoll or
+//! poll(2). `--max-conns` / `--per-client-conns` cap
 //! open connections (excess accepts are answered with a `"shed"` error
 //! and closed) and `--rate R` token-buckets each client address to R
 //! solves/s (burst `--rate-burst`, default 2R; excess gets
@@ -214,7 +214,6 @@ fn cmd_serve(args: &[String]) {
     }
     let mut cfg = ServiceConfig::default();
     let mut opts = ServeOptions::default();
-    let mut threaded = false;
     let mut it = args[1..].iter();
     while let Some(a) = it.next() {
         fn arg<T: std::str::FromStr>(flag: &str, value: Option<&String>) -> T {
@@ -250,7 +249,6 @@ fn cmd_serve(args: &[String]) {
             "--per-client-conns" => opts.per_client_conns = arg(a, it.next()),
             "--rate" => opts.rate_per_sec = arg(a, it.next()),
             "--rate-burst" => opts.rate_burst = arg(a, it.next()),
-            "--threaded" => threaded = true,
             other => fail(&format!("unknown flag {other}")),
         }
     }
@@ -304,12 +302,7 @@ fn cmd_serve(args: &[String]) {
     }) {
         fail(&format!("cannot install signal handler: {e}"));
     }
-    let served = if threaded {
-        krsp_service::serve_threaded_with_shutdown(&service, listener, Arc::clone(&shutdown), opts)
-    } else {
-        serve_with_shutdown(&service, listener, Arc::clone(&shutdown), opts)
-    };
-    if let Err(e) = served {
+    if let Err(e) = serve_with_shutdown(&service, listener, Arc::clone(&shutdown), opts) {
         fail(&format!("listener failed: {e}"));
     }
     // Flush the final counters so an orchestrator tearing the pod down

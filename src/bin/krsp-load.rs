@@ -23,20 +23,27 @@
 //! (the `--workers` etc. service flags are then ignored). `ADDR` may be a
 //! comma-separated list — clients spread across the targets and rotate to
 //! the next one on each reconnect, so the replay keeps going while any
-//! listed replica answers. Transport errors reconnect and reissue
-//! with jittered exponential backoff, up to `--retries N` attempts per
-//! request (default 5); the report then carries both latency views —
+//! listed replica answers.
+//!
+//! Every remote replay runs through one client engine, one per
+//! `--clients` connection: a window of requests in flight, replies
+//! matched by the id they echo (an id-less reply answers the oldest
+//! request in the window). When the connection dies, the engine rotates
+//! to the next target, backs off with seeded jittered exponential
+//! backoff, and reissues everything outstanding, up to `--retries N`
+//! attempts (default 5); a window that exhausts them counts as wire
+//! errors and the replay goes on. The report carries both latency views —
 //! `latency` from each request's first send (spans retries and backoff)
-//! and `latency_last_send` from the answered attempt's send.
-//! `--pipeline N` keeps N requests in flight per
-//! connection using per-request ids (responses are matched out of order;
-//! the report then carries the observed reordering and per-id latencies);
-//! a connection that dies mid-window reissues its outstanding ids.
-//! `--batch N` groups N requests into each `SolveBatch` wire line instead
-//! (one request, N id-matched responses; per-query latency spans from the
-//! batch line's send to that id's response). `--pipeline` and `--batch`
-//! are mutually exclusive — they prescribe conflicting framings for the
-//! same connection. `--kernel` stamps an RSP-kernel override
+//! and `latency_last_send` from the answered attempt's send. The window
+//! is one id-less request by default — the classic one-at-a-time client.
+//! `--pipeline N` keeps N ids in flight, one line each (responses may
+//! come back out of order; the report then carries the observed
+//! reordering). `--batch N` only changes the framing: each window of N
+//! queries goes out as one `SolveBatch` line (per-query latency spans
+//! from the query's claim to that id's response; under `--qps` the line
+//! departs when its last query is due). `--pipeline` and
+//! `--batch` are mutually exclusive — they prescribe conflicting framings
+//! for the same connection. `--kernel` stamps an RSP-kernel override
 //! (DESIGN.md §4.16) on every issued request, both in-process and over
 //! the wire; omitted, the server's configured kernel ladder decides.
 //!
@@ -49,7 +56,8 @@
 //! lineage's current weights and exercise the epoch-scoped cache lane
 //! (retention, warm starts) instead of cold canonical keys. The JSON
 //! output is then a [`RollingReport`](krsp_service::RollingReport) with
-//! per-window latencies and server counter deltas.
+//! per-window latencies and server counter deltas. Registrations,
+//! advances and traffic all go through the same engine at depth 1.
 
 use krsp_service::load::{self, LoadSpec, RemoteSpec, RollingSpec};
 use krsp_service::{Service, ServiceConfig};

@@ -91,6 +91,7 @@ proptest! {
         bound in 0i64..400,
         eps_ix in 0usize..EPSILONS.len(),
     ) {
+        let _fp = fp_lock();
         let (eps_num, eps_den) = EPSILONS[eps_ix];
         let family = FAMILIES[fam_ix];
         let g = family_graph(family, n, REGIMES[reg_ix], seed);
@@ -126,7 +127,7 @@ proptest! {
 /// Serializes tests that reprogram the process-wide solver width, restoring
 /// the default resolution on drop (mirrors the guard in `tests/kernels.rs`;
 /// both suites keep theirs private on purpose — a shared helper crate would
-/// couple their lock orders).
+/// couple their lock orders). Lock order: [`fp_lock`] first, then this.
 struct WidthGuard(#[allow(dead_code)] MutexGuard<'static, ()>);
 
 impl WidthGuard {
@@ -168,6 +169,7 @@ fn tradeoff(d_bound: i64) -> Instance {
 /// every width, and every answer must respect the instance's delay bound.
 #[test]
 fn ladder_answers_are_width_invariant_per_kernel() {
+    let _fp = fp_lock();
     let _guard = WidthGuard::lock();
     let instances = [chain_instance(), tradeoff(24)];
     let cfg = Config::default();
@@ -213,6 +215,7 @@ fn ladder_answers_are_width_invariant_per_kernel() {
 /// for both kernels.
 #[test]
 fn epsilon_edge_cases_reject_or_clamp() {
+    let _fp = fp_lock();
     let g = chain_graph();
     let (s, t, d) = (NodeId(0), NodeId(5), 10);
     for kind in KERNEL_KINDS {
@@ -237,6 +240,7 @@ fn epsilon_edge_cases_reject_or_clamp() {
 /// token is replaced.
 #[test]
 fn cancellation_mid_interval_test_returns_none() {
+    let _fp = fp_lock();
     let g = chain_graph();
     let (s, t, d) = (NodeId(0), NodeId(5), 10);
     let mut dp = DpScratch::new();
@@ -270,6 +274,9 @@ static FP_LOCK: Mutex<()> = Mutex::new(());
 /// Serializes failpoint use and guarantees a clean registry on entry and
 /// exit (the registry is process-global; same discipline as
 /// `tests/chaos.rs`, private copy for the same reason as [`WidthGuard`]).
+/// Every test that runs the interval kernel holds it, not only the ones
+/// that arm `csp.interval_test`: an armed site would otherwise leak into
+/// a concurrently running differential test. Taken before [`WidthGuard`].
 struct FpGuard(#[allow(dead_code)] MutexGuard<'static, ()>);
 
 impl Drop for FpGuard {

@@ -12,8 +12,10 @@
 //! chaos replays emit identical retry traces (the jitter is a pure
 //! function of the seed).
 
-use krsp_service::proto::{self, ServeOptions, SolveRequest, WireResponse};
-use krsp_service::{ErrorKind, RingState, Router, RouterOptions, Service, ServiceConfig};
+use krsp_service::proto::{ServeOptions, SolveRequest, WireResponse};
+use krsp_service::{
+    serve_with_shutdown, ErrorKind, RingState, Router, RouterOptions, Service, ServiceConfig,
+};
 use krsp_suite::krsp::Instance;
 use krsp_suite::krsp_graph::{DiGraph, NodeId};
 use std::net::TcpListener;
@@ -59,8 +61,9 @@ fn tradeoff(d_bound: i64) -> Instance {
     Instance::new(g, NodeId(0), NodeId(5), 2, d_bound).expect("tradeoff instance is well-formed")
 }
 
-/// One running replica: its service handle (for direct drain control),
-/// its address, and the shutdown flag + thread that stop it.
+/// One running replica on the reactor frontend: its service handle (for
+/// direct drain control), its address, and the shutdown flag + thread
+/// that stop it.
 struct Replica {
     service: Service,
     addr: String,
@@ -80,7 +83,7 @@ impl Replica {
         let server = {
             let (service, shutdown) = (service.clone(), Arc::clone(&shutdown));
             std::thread::spawn(move || {
-                proto::serve_threaded_with_shutdown(
+                serve_with_shutdown(
                     &service,
                     listener,
                     shutdown,
@@ -374,7 +377,7 @@ fn t15_ring_storm_report() {
     };
     let spawn_replica = |addr: std::net::SocketAddr| {
         Command::new(env!("CARGO_BIN_EXE_krsp-cli"))
-            .args(["serve", &addr.to_string(), "--workers", "2", "--threaded"])
+            .args(["serve", &addr.to_string(), "--workers", "2"])
             .stdout(Stdio::null())
             .stderr(Stdio::null())
             .spawn()
