@@ -307,6 +307,8 @@ impl Frontend {
         if stream.set_nonblocking(true).is_err() {
             return;
         }
+        // Replies leave in one write each; no Nagle hold on the socket.
+        let _ = stream.set_nodelay(true);
         let token = self.next_token;
         self.next_token += 1;
         if self

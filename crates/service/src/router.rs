@@ -55,6 +55,7 @@ use crate::proto::{
 };
 use crate::sync_util::{lock_recover, saturating_deadline};
 use serde::Content;
+use std::collections::VecDeque;
 use std::io::{BufReader, ErrorKind as IoErrorKind, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -73,9 +74,11 @@ pub const DEFAULT_SEED: u64 = 0x6b72_7370;
 /// deadline check inside a blocked read can run.
 const READ_TICK: Duration = Duration::from_millis(5);
 
-/// Hard cap on retained retry-trace entries, so a long-lived router's
-/// diagnostics cannot grow without bound.
-const TRACE_CAP: usize = 65_536;
+/// Retry-trace ring size: the newest `TRACE_CAP` entries are kept and
+/// older ones are overwritten. Entries are fixed-size [`TraceEntry`]
+/// values (48 bytes), so the trace never holds more than ~200 KB however
+/// long the router runs.
+const TRACE_CAP: usize = 4096;
 
 /// Resolves the deterministic jitter seed: an explicit flag wins, then a
 /// parseable [`SEED_ENV_VAR`], then [`DEFAULT_SEED`]. A malformed env
@@ -412,7 +415,28 @@ struct Inner {
     ring: Ring,
     latencies: Mutex<LatencyHistogram>,
     stats: Stats,
-    trace: Mutex<Vec<String>>,
+    trace: Mutex<VecDeque<TraceEntry>>,
+}
+
+/// One retry-trace entry. Recording one copies these fields into the
+/// preallocated ring; the text form is built only by
+/// [`Router::take_trace`].
+struct TraceEntry {
+    key: u128,
+    attempt: u32,
+    replica: u32,
+    event: &'static str,
+    backoff_us: u64,
+}
+
+impl std::fmt::Display for TraceEntry {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "key={:032x} attempt={} replica={} event={} backoff_us={}",
+            self.key, self.attempt, self.replica, self.event, self.backoff_us
+        )
+    }
 }
 
 /// How one forward attempt failed.
@@ -499,7 +523,7 @@ impl Router {
                 ring,
                 latencies: Mutex::new(LatencyHistogram::default()),
                 stats: Stats::default(),
-                trace: Mutex::new(Vec::new()),
+                trace: Mutex::new(VecDeque::with_capacity(TRACE_CAP)),
             }),
         }
     }
@@ -516,13 +540,18 @@ impl Router {
         self.inner.replicas.iter().map(Replica::state).collect()
     }
 
-    /// Drains and returns the retry trace accumulated so far. Entries are
-    /// pure functions of (seed, request keys, failure script), so two
-    /// identical chaos replays yield identical traces when requests are
-    /// issued sequentially.
+    /// Drains and returns the retry trace, oldest first: the newest
+    /// [`TRACE_CAP`] entries recorded since the last call, one line each,
+    /// `key=<32 hex> attempt=<n> replica=<i> event=<name> backoff_us=<us>`.
+    /// Entries are pure functions of (seed, request keys, failure
+    /// script), so two identical chaos replays yield identical traces when
+    /// requests are issued sequentially.
     #[must_use]
     pub fn take_trace(&self) -> Vec<String> {
-        std::mem::take(&mut *lock_recover(&self.inner.trace))
+        lock_recover(&self.inner.trace)
+            .drain(..)
+            .map(|entry| entry.to_string())
+            .collect()
     }
 
     /// The router's replica-set view and counters (the `Health` answer).
@@ -693,16 +722,19 @@ impl Router {
     }
 
     /// Re-encodes a solve with the *remaining* deadline budget, so every
-    /// hop sees how much time is actually left.
+    /// hop sees how much time is actually left. The line ends in its `\n`,
+    /// ready for [`Router::send_recv`]'s single write.
     fn encode_forward(&self, solve: &SolveRequest, remaining: Duration) -> String {
         let forwarded = WireRequest::Solve(SolveRequest {
             instance: solve.instance.clone(),
             deadline_ms: Some((remaining.as_millis() as u64).max(1)),
             kernel: solve.kernel,
         });
-        serde_json::to_string(&forwarded).unwrap_or_else(|e| {
+        let mut line = serde_json::to_string(&forwarded).unwrap_or_else(|e| {
             format!("{{\"Error\":{{\"kind\":\"internal\",\"message\":\"encode failed: {e}\"}}}}")
-        })
+        });
+        line.push('\n');
+        line
     }
 
     /// Jittered exponential backoff for retry `attempt` of `key`: a pure
@@ -725,15 +757,29 @@ impl Router {
         Duration::from_micros(jittered).min(deadline.saturating_duration_since(Instant::now()))
     }
 
-    fn trace(&self, key: u128, attempt: u32, replica: usize, event: &str, backoff: Duration) {
+    /// Records one attempt in the retry-trace ring, overwriting the
+    /// oldest entry once it is full. Allocation-free: the ring's storage
+    /// is reserved at construction and never grows.
+    fn trace(
+        &self,
+        key: u128,
+        attempt: u32,
+        replica: usize,
+        event: &'static str,
+        backoff: Duration,
+    ) {
+        let entry = TraceEntry {
+            key,
+            attempt,
+            replica: u32::try_from(replica).unwrap_or(u32::MAX),
+            event,
+            backoff_us: u64::try_from(backoff.as_micros()).unwrap_or(u64::MAX),
+        };
         let mut trace = lock_recover(&self.inner.trace);
-        if trace.len() >= TRACE_CAP {
-            return;
+        if trace.len() == TRACE_CAP {
+            trace.pop_front();
         }
-        trace.push(format!(
-            "key={key:032x} attempt={attempt} replica={replica} event={event} backoff_us={}",
-            backoff.as_micros()
-        ));
+        trace.push_back(entry);
     }
 
     /// One attempt slot: a plain forward, or — when `hedge_with` names a
@@ -989,21 +1035,22 @@ impl Router {
         Ok(conn)
     }
 
-    /// Writes `line` and reads exactly one reply line, bounded by
-    /// `deadline`. A stall surfaces as `TimedOut` (see [`ForwardFail`]).
+    /// Writes `line` (which carries its own `\n`) in one write and reads
+    /// exactly one reply line, bounded by `deadline`. A stall surfaces as
+    /// `TimedOut` (see [`ForwardFail`]).
     fn send_recv(
         &self,
         conn: &mut TcpStream,
         line: &str,
         deadline: Instant,
     ) -> std::io::Result<String> {
+        debug_assert!(line.ends_with('\n'), "forwarded lines carry their newline");
         krsp_failpoint::fail_point!("router.forward", |msg| Err(std::io::Error::other(msg)));
         let remaining = deadline
             .saturating_duration_since(Instant::now())
             .max(Duration::from_millis(1));
         conn.set_write_timeout(Some(remaining))?;
         conn.write_all(line.as_bytes())?;
-        conn.write_all(b"\n")?;
         conn.flush()?;
         conn.set_read_timeout(Some(READ_TICK))?;
         let mut reader = BufReader::new(&mut *conn);
@@ -1038,7 +1085,7 @@ impl Router {
         let deadline = saturating_deadline(Instant::now(), self.inner.opts.default_deadline);
         let all: Vec<usize> = (0..self.inner.replicas.len()).collect();
         for idx in self.live_or_all(&all) {
-            if let Ok(raw) = self.forward_once(idx, "\"Metrics\"", deadline) {
+            if let Ok(raw) = self.forward_once(idx, "\"Metrics\"\n", deadline) {
                 if let Ok((_, response)) = decode_response_line(&raw) {
                     return response;
                 }
@@ -1054,7 +1101,7 @@ impl Router {
     /// max epoch, summed sweep counters).
     fn broadcast(&self, request: &WireRequest) -> WireResponse {
         let line = match serde_json::to_string(request) {
-            Ok(line) => line,
+            Ok(line) => line + "\n",
             Err(e) => return wire_error(ErrorKind::Internal, format!("encode failed: {e}")),
         };
         let deadline = saturating_deadline(Instant::now(), self.inner.opts.default_deadline);
@@ -1206,6 +1253,9 @@ pub fn serve_ring_with_shutdown(
         match listener.accept() {
             Ok((stream, _peer)) => {
                 stream.set_nonblocking(false)?;
+                // Nagle would hold a reply back while an earlier one is
+                // still unacknowledged (a pipelining client).
+                let _ = stream.set_nodelay(true);
                 if conns.load(Ordering::Acquire) >= opts.max_conns {
                     crate::proto::shed_at_accept(stream, "router connection limit reached");
                     continue;
@@ -1259,7 +1309,7 @@ fn handle_client(router: &Router, stream: TcpStream, shutdown: &AtomicBool) -> s
                 BlockAction::Retry
             }
         };
-        let reply = match read_line_capped(&mut reader, MAX_LINE_BYTES, &mut on_block)? {
+        let mut reply = match read_line_capped(&mut reader, MAX_LINE_BYTES, &mut on_block)? {
             LineRead::Eof => return Ok(()),
             LineRead::TooLong => {
                 let msg = format!("request line exceeds {MAX_LINE_BYTES} bytes");
@@ -1273,8 +1323,10 @@ fn handle_client(router: &Router, stream: TcpStream, shutdown: &AtomicBool) -> s
                 router.handle_line(&line)
             }
         };
+        // One write per reply, newline included: a separate `\n` write
+        // would sit behind Nagle until the client's delayed ACK (~40 ms).
+        reply.push('\n');
         writer.write_all(reply.as_bytes())?;
-        writer.write_all(b"\n")?;
         writer.flush()?;
     }
 }
@@ -1423,5 +1475,87 @@ mod tests {
             replica.note_failure(&o);
         }
         assert_eq!(replica.state(), RingState::Down);
+    }
+
+    /// The text the trace produced when it stored preformatted strings;
+    /// `take_trace` must reproduce it byte for byte.
+    fn legacy_line(
+        key: u128,
+        attempt: u32,
+        replica: usize,
+        event: &str,
+        backoff: Duration,
+    ) -> String {
+        format!(
+            "key={key:032x} attempt={attempt} replica={replica} event={event} backoff_us={}",
+            backoff.as_micros()
+        )
+    }
+
+    #[test]
+    fn trace_keeps_the_newest_entries_in_fixed_storage() {
+        assert!(std::mem::size_of::<TraceEntry>() <= 48);
+        let router = Router::new(opts(2));
+        let capacity = lock_recover(&router.inner.trace).capacity();
+        assert!(capacity >= TRACE_CAP, "the ring is not preallocated");
+        for i in 0..3 * TRACE_CAP {
+            router.trace(i as u128, 0, i % 2, "ok", Duration::ZERO);
+        }
+        assert_eq!(
+            lock_recover(&router.inner.trace).capacity(),
+            capacity,
+            "recording grew the trace's storage"
+        );
+        let trace = router.take_trace();
+        assert_eq!(trace.len(), TRACE_CAP);
+        assert_eq!(
+            trace[0],
+            legacy_line((2 * TRACE_CAP) as u128, 0, 0, "ok", Duration::ZERO),
+            "the oldest retained entry must be event 2×TRACE_CAP"
+        );
+        assert_eq!(
+            trace[TRACE_CAP - 1],
+            legacy_line((3 * TRACE_CAP - 1) as u128, 0, 1, "ok", Duration::ZERO)
+        );
+        assert!(router.take_trace().is_empty(), "take_trace drains");
+    }
+
+    #[test]
+    fn trace_lines_match_the_legacy_format_for_every_event() {
+        let router = Router::new(opts(3));
+        let key = 0x0123_4567_89ab_cdef_fedc_ba98_7654_3210_u128;
+        let cases = [
+            ("ok", 0, 0, Duration::ZERO),
+            ("shed", 1, 2, Duration::ZERO),
+            ("bad_reply", 2, 1, Duration::ZERO),
+            ("deadline_stall", 0, 1, Duration::ZERO),
+            ("dial_fail", 1, 0, Duration::from_micros(1_937)),
+            ("conn_died", 7, 2, Duration::from_millis(4)),
+            ("hedge_fire", 0, 1, Duration::ZERO),
+        ];
+        for &(event, attempt, replica, backoff) in &cases {
+            router.trace(key, attempt, replica, event, backoff);
+            router.trace(1, attempt, replica, event, backoff);
+        }
+        let trace = router.take_trace();
+        let legacy: Vec<String> = cases
+            .iter()
+            .flat_map(|&(event, attempt, replica, backoff)| {
+                [
+                    legacy_line(key, attempt, replica, event, backoff),
+                    legacy_line(1, attempt, replica, event, backoff),
+                ]
+            })
+            .collect();
+        assert_eq!(trace, legacy);
+        // Pinned bytes, independent of the formatter above.
+        assert_eq!(
+            trace[9],
+            "key=00000000000000000000000000000001 attempt=1 replica=0 event=dial_fail backoff_us=1937"
+        );
+        assert_eq!(
+            trace[10],
+            "key=0123456789abcdeffedcba9876543210 attempt=7 replica=2 event=conn_died backoff_us=4000"
+        );
     }
 }

@@ -36,7 +36,7 @@ echo "== epoch report (T14: rolling retention, warm vs cold, SIGKILL restart)"
 # seed-participating re-solves, restart hit rate > 0 with disk recovery.
 cargo test -q --release --test chaos -- --ignored t14_epoch_warm_disk_report
 
-echo "== replica-ring suite on reactor replicas (router unit + chaos: failover, drain handoff, hedging)"
+echo "== replica-ring suite on reactor replicas (router unit + chaos: failover, drain handoff, hedging, stall gate)"
 cargo test -q -p krsp-service --lib router
 cargo test -q --test ring
 # The same chaos suite must hold with ambient router jitter injected from

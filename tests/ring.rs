@@ -8,17 +8,19 @@
 //! The scenarios mirror the router's fault model: a replica killed with
 //! traffic in flight loses zero requests (failover within the deadline
 //! budget), a draining replica hands its keys off without a dropped id,
-//! a hedged send's loser is cancelled and counted, and two identical
-//! chaos replays emit identical retry traces (the jitter is a pure
-//! function of the seed).
+//! a hedged send's loser is cancelled and counted, two identical chaos
+//! replays emit identical retry traces (the jitter is a pure function of
+//! the seed), and a warm solve through the router's listener never waits
+//! on a Nagle/delayed-ACK stall.
 
-use krsp_service::proto::{ServeOptions, SolveRequest, WireResponse};
+use krsp_service::proto::{ServeOptions, SolveRequest, WireRequest, WireResponse};
 use krsp_service::{
-    serve_with_shutdown, ErrorKind, RingState, Router, RouterOptions, Service, ServiceConfig,
+    decode_response_line, serve_ring_with_shutdown, serve_with_shutdown, ErrorKind, RingState,
+    Router, RouterOptions, Service, ServiceConfig,
 };
 use krsp_suite::krsp::Instance;
 use krsp_suite::krsp_graph::{DiGraph, NodeId};
-use std::net::TcpListener;
+use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Duration;
@@ -348,6 +350,75 @@ fn identical_chaos_replays_emit_identical_retry_traces() {
         strip(&trace_one),
         strip(&trace_three),
         "the seed must only perturb backoff, never routing"
+    );
+}
+
+/// Stall gate: a warm solve through the router's listener must come back
+/// well inside the ~40 ms that a Nagle hold behind the client's delayed
+/// ACK costs. The client is the well-behaved kind (one write per line,
+/// `TCP_NODELAY`), so a stall here is the router's own doing — e.g. a
+/// reply written as two segments.
+#[test]
+fn routed_round_trips_stay_off_the_nagle_stall() {
+    use std::io::{BufRead, BufReader, Write};
+    use std::time::Instant;
+
+    let _fp = fp_lock();
+    let a = Replica::start();
+    let b = Replica::start();
+    let router = router_over(&[&a, &b], |_| {});
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind router");
+    let addr = listener.local_addr().expect("router addr");
+    let shutdown = Arc::new(AtomicBool::new(false));
+    let server = {
+        let (router, shutdown) = (router.clone(), Arc::clone(&shutdown));
+        std::thread::spawn(move || serve_ring_with_shutdown(&router, listener, shutdown))
+    };
+
+    let lines: Vec<String> = (14..26)
+        .map(|d| {
+            let request = WireRequest::Solve(solve_req(d));
+            serde_json::to_string(&request).expect("encode solve") + "\n"
+        })
+        .collect();
+    let mut rtts: Vec<Duration> = {
+        let conn = TcpStream::connect(addr).expect("dial router");
+        conn.set_nodelay(true).expect("set TCP_NODELAY");
+        conn.set_read_timeout(Some(Duration::from_secs(5)))
+            .expect("set read timeout");
+        let mut writer = conn.try_clone().expect("clone client socket");
+        let mut reader = BufReader::new(conn);
+        let mut round_trip = |line: &str| {
+            let started = Instant::now();
+            writer.write_all(line.as_bytes()).expect("send solve");
+            let mut reply = String::new();
+            reader.read_line(&mut reply).expect("read reply");
+            let elapsed = started.elapsed();
+            match decode_response_line(reply.trim_end()) {
+                Ok((_, WireResponse::Solved(_))) => elapsed,
+                other => panic!("routed solve failed: {other:?}"),
+            }
+        };
+        // Warm pass: every instance is solved once and cached on its
+        // replica, so the timed pass measures the hop, not the solver.
+        for line in &lines {
+            round_trip(line);
+        }
+        (0..36)
+            .map(|i| round_trip(&lines[i % lines.len()]))
+            .collect()
+    }; // the client connection closes here
+    shutdown.store(true, Ordering::Release);
+    server
+        .join()
+        .expect("router thread exits")
+        .expect("router drains cleanly");
+
+    rtts.sort_unstable();
+    let median = rtts[rtts.len() / 2];
+    assert!(
+        median < Duration::from_millis(20),
+        "routed warm solves stall: median round trip {median:?} (sorted: {rtts:?})"
     );
 }
 
